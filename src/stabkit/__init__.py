@@ -15,7 +15,6 @@ from .exactnum import (
     PhaseKey,
     QuadScalar,
     ccw_displacement,
-    cmp_phase,
     in_strict_upper_half,
 )
 from .quivrep import (
@@ -30,7 +29,7 @@ from .quivrep import (
     quotient,
     simple_rep,
 )
-from .slicing import FormalComplex, PhaseInterval, SlicingView, hn_decompose, phi_bounds, in_interval, slicing_distance, containment_check
+from .slicing import FormalComplex, PhaseInterval, containment_check, hn_decompose, in_interval, phi_bounds, slicing_distance
 from .stability import (
     CentralCharge,
     HNFiltration,

@@ -16,16 +16,14 @@ import sys
 from fractions import Fraction
 
 from . import ellcurve, quivrep, slicing, stability, stabspace
-from .errors import InvariantViolation, StabkitError, UnknownNameError
+from .errors import InvariantViolation, StabkitError
 from .exactnum import PhaseKey, QuadScalar, parse_rational
 from .quivrep import DimVector
-from .session import SessionDocument, fmt_exact_complex, parse_session
-from .slicing import SlicingView
+from .session import SessionDocument, fmt_entry, fmt_exact_complex, parse_session
 from .stabspace import GLtildeElement, mat2
 
 
 def fmt_phase_key(p: PhaseKey) -> dict:
-    re_f, im_f = p.dir.to_floats()
     return {
         "k": p.k,
         "dir_re": _scalar_str(p.dir.re),
@@ -43,12 +41,8 @@ def _scalar_str(x):
 def _fmt_submodule(sub) -> dict:
     return {
         "dims": list(sub.dims),
-        "basis_rows": [[[_entry(x) for x in row] for row in vertex_rows] for vertex_rows in sub.rows],
+        "basis_rows": [[[fmt_entry(x) for x in row] for row in vertex_rows] for vertex_rows in sub.rows],
     }
-
-
-def _entry(x):
-    return x if isinstance(x, int) else str(x)
 
 
 def _root_json(r) -> dict:
@@ -63,10 +57,6 @@ def _parse_matrix(text: str):
         raise StabkitError(f"--matrix expects 'a,b,c,d', got {text!r}")
     a, b, c, d = (parse_rational(p.strip()) for p in parts)
     return mat2(a, b, c, d)
-
-
-def _testset(doc: SessionDocument, name: str):
-    return doc.testset(name)
 
 
 def cmd_hn(doc: SessionDocument, args) -> dict:
@@ -119,7 +109,7 @@ def cmd_semistable(doc: SessionDocument, args) -> dict:
 def cmd_decompose(doc: SessionDocument, args) -> dict:
     fc = doc.object(args.complex)
     Z = doc.charge(args.charge)
-    factors = slicing.hn_decompose(fc, SlicingView(Z), args.cap)
+    factors = slicing.hn_decompose(fc, stabspace.plain_handle(doc.quiver, doc.field, Z), args.cap)
     return {
         "object": args.complex,
         "charge": args.charge,
@@ -206,7 +196,7 @@ def cmd_walls(doc: SessionDocument, args) -> dict:
 def cmd_deform(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
     W = doc.charge(args.charge_w)
-    labels, testset = _testset(doc, args.testset)
+    labels, testset = doc.testset(args.testset)
     sigma = stabspace.plain_handle(doc.quiver, doc.field, Z)
     eps = parse_rational(args.eps)
     tau, report = stabspace.deform(sigma, W.values, eps, testset, labels, args.cap)
@@ -231,14 +221,14 @@ def cmd_deform(doc: SessionDocument, args) -> dict:
 def cmd_metric(doc: SessionDocument, args) -> dict:
     Z1 = doc.charge(args.charge1)
     Z2 = doc.charge(args.charge2)
-    labels, testset = _testset(doc, args.testset)
+    labels, testset = doc.testset(args.testset)
+    s1 = stabspace.plain_handle(doc.quiver, doc.field, Z1)
+    s2 = stabspace.plain_handle(doc.quiver, doc.field, Z2)
     if args.which == "slicing":
-        rep = slicing.slicing_distance(SlicingView(Z1), SlicingView(Z2), testset, labels, args.cap)
+        rep = slicing.slicing_distance(s1, s2, testset, labels, args.cap)
         rows = [("object", "lo_drift", "hi_drift")] + [(r.label, r.lo_diff, r.hi_diff) for r in rep.rows]
         body = [{"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff} for r in rep.rows]
     else:
-        s1 = stabspace.plain_handle(doc.quiver, doc.field, Z1)
-        s2 = stabspace.plain_handle(doc.quiver, doc.field, Z2)
         rep = stabspace.stab_distance(s1, s2, testset, labels, args.cap)
         rows = [("object", "lo_drift", "hi_drift", "log_mass_ratio")] + [
             (r.label, r.lo_diff, r.hi_diff, r.log_mass_ratio) for r in rep.rows
@@ -260,7 +250,7 @@ def cmd_metric(doc: SessionDocument, args) -> dict:
 
 def cmd_glact(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
-    labels, testset = _testset(doc, args.testset)
+    labels, testset = doc.testset(args.testset)
     g = GLtildeElement(_parse_matrix(args.matrix), args.branch)
     sigma = stabspace.plain_handle(doc.quiver, doc.field, Z)
     sigma2, relabeled = stabspace.gl_act(sigma, g, testset, args.cap)
@@ -309,7 +299,7 @@ def cmd_discrete(doc: SessionDocument, args) -> dict:
 
 def cmd_validate(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
-    labels, testset = _testset(doc, args.testset)
+    labels, testset = doc.testset(args.testset)
     sigma = stabspace.plain_handle(doc.quiver, doc.field, Z)
     report = stabspace.validate_axioms(sigma, testset, labels, args.cap)
     return {

@@ -33,10 +33,6 @@ class NumClass:
     r: int
     d: int
 
-    @property
-    def is_effective(self) -> bool:
-        return self.r > 0 or (self.r == 0 and self.d > 0)
-
 
 def euler_form_curve(c1: NumClass, c2: NumClass) -> int:
     """Antisymmetric pairing r1*d2 - r2*d1."""
@@ -50,7 +46,7 @@ def std_charge(c: NumClass) -> ExactComplex:
 
 @dataclass(frozen=True)
 class NumericalCharge:
-    """Rational matrix sending (r, d) to (re Z, im Z)."""
+    """A rational matrix sending (r, d) to (re Z, im Z)."""
 
     M: Mat2
 

@@ -60,10 +60,6 @@ class ProportionalPairError(StabkitError):
     """Class pair is proportional, so its alignment locus is degenerate."""
 
 
-class PathDomainError(StabkitError):
-    """Charge path leaves the strict upper half-plane."""
-
-
 class HypothesisViolatedError(StabkitError):
     """Deformation hypothesis fails (or is undecidable at the boundary).
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import UnsupportedScalarError
 
-Rational = Fraction
 
-
+@lru_cache(maxsize=1024)
 def _is_square_free(n: int) -> bool:
     if n % 4 == 0:
         return False
@@ -158,10 +158,6 @@ def is_zero_scalar(x: Scalar | int) -> bool:
     return sign_of(x) == 0
 
 
-def scalar_to_float(x: Scalar | int) -> float:
-    return float(x)
-
-
 def fmt_scalar(x: Scalar | int) -> str:
     if isinstance(x, QuadScalar):
         if x.b == 0:
@@ -171,7 +167,7 @@ def fmt_scalar(x: Scalar | int) -> str:
 
 
 def sqrt_bounds(value: Scalar | int, bits: int = 70) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(value) with width about 2**-bits.
+    """A rational enclosure of sqrt(value) with width about 2**-bits.
 
     Used wherever a transcendental-free bound on a square root is needed
     (mass error bounds, wall-root bracketing).  ``value`` must be >= 0.
@@ -179,16 +175,20 @@ def sqrt_bounds(value: Scalar | int, bits: int = 70) -> tuple[Fraction, Fraction
     if sign_of(value) < 0:
         raise ValueError("sqrt of negative value")
     if isinstance(value, QuadScalar):
-        lo_d, hi_d = sqrt_bounds(Fraction(value.d), bits + 10)
-        if value.b >= 0:
-            lo = value.a + value.b * lo_d
-            hi = value.a + value.b * hi_d
-        else:
-            lo = value.a + value.b * hi_d
-            hi = value.a + value.b * lo_d
-        lo = max(lo, Fraction(0))
-        return (_sqrt_bounds_fraction(lo, bits)[0], _sqrt_bounds_fraction(hi, bits)[1])
+        lo, hi = root_bounds(value, bits + 10)
+        return (_sqrt_bounds_fraction(max(lo, Fraction(0)), bits)[0], _sqrt_bounds_fraction(hi, bits)[1])
     return _sqrt_bounds_fraction(Fraction(value), bits)
+
+
+def root_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
+    """A rational enclosure of a scalar: a Fraction is its own enclosure,
+    and ``a + b*sqrt(d)`` takes the sqrt(d) bounds of width about 2**-bits."""
+    if not isinstance(x, QuadScalar):
+        return x, x
+    lo_s, hi_s = _sqrt_bounds_fraction(Fraction(x.d), bits)
+    if x.b >= 0:
+        return x.a + x.b * lo_s, x.a + x.b * hi_s
+    return x.a + x.b * hi_s, x.a + x.b * lo_s
 
 
 def _sqrt_bounds_fraction(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -246,24 +246,18 @@ class ExactComplex:
         return hash((fmt_scalar(self.re), fmt_scalar(self.im)))
 
     def to_floats(self) -> tuple[float, float]:
-        return (scalar_to_float(self.re), scalar_to_float(self.im))
+        return (float(self.re), float(self.im))
 
     def __repr__(self):
         return f"({fmt_scalar(self.re)} + {fmt_scalar(self.im)}i)"
 
 
-EC_ZERO = ExactComplex(Fraction(0), Fraction(0))
-EC_ONE = ExactComplex(Fraction(1), Fraction(0))
 EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 
 def cross(z1: ExactComplex, z2: ExactComplex) -> Scalar:
     """Signed area re(z1)*im(z2) - im(z1)*re(z2); sign orders arguments."""
     return z1.re * z2.im - z1.im * z2.re
-
-
-def dot(z1: ExactComplex, z2: ExactComplex) -> Scalar:
-    return z1.re * z2.re + z1.im * z2.im
 
 
 def in_strict_upper_half(z: ExactComplex) -> bool:
@@ -377,10 +371,6 @@ def normalize_direction(z: ExactComplex) -> PhaseKey:
     return PhaseKey(-1, -z)
 
 
-def cmp_phase(p: PhaseKey, q: PhaseKey) -> int:
-    return p.cmp(q)
-
-
 @dataclass(frozen=True, eq=False)
 class Displacement:
     """Counterclockwise angular displacement in [0, 2) half-turns.
@@ -443,10 +433,6 @@ class Displacement:
         """Sum modulo 2 (arguments of witnesses add under multiplication)."""
         return Displacement(self.w * other.w)
 
-    def shifted(self, n: int) -> "Displacement":
-        """Displacement + n modulo 2."""
-        return self if n % 2 == 0 else Displacement(-self.w)
-
     def float_value(self) -> float:
         s = self.sector
         if s == 0:
@@ -486,10 +472,6 @@ def phase_key_anchor(u: ExactComplex, m: int) -> PhaseKey:
     return PhaseKey(2 * m - 1, -u)  # arg in (3pi/2, 2pi)
 
 
-def phase_float(p: PhaseKey) -> float:
-    return p.float_value()
-
-
 def phase_diff_float(p: PhaseKey, q: PhaseKey) -> float:
     """Advisory float for p - q; exact (0.0) on positively proportional dirs.
 
@@ -513,8 +495,3 @@ def parse_rational(text) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise UnsupportedScalarError(f"bad rational literal {text!r}: {exc}") from None
     raise UnsupportedScalarError(f"bad rational literal {text!r}")
-
-
-def fmt_complex(z: ExactComplex) -> str:
-    """Serialize as 'a/b + c/d i' with quadratic parts parenthesized."""
-    return f"{fmt_scalar(z.re)} + {fmt_scalar(z.im)} i"

@@ -121,21 +121,6 @@ def field_by_name(name: str) -> Field:
     return FIELDS[name]
 
 
-def mat_mul(F: Field, A, B):
-    """Product of row-tuple matrices; A is (m x k), B is (k x n)."""
-    if not A or not B:
-        return tuple()
-    k = len(B)
-    n = len(B[0])
-    out = []
-    for row in A:
-        assert len(row) == k
-        out.append(tuple(
-            _dotrow(F, row, B, j) for j in range(n)
-        ))
-    return tuple(out)
-
-
 def _dotrow(F, row, B, j):
     acc = F.zero
     for t, x in enumerate(row):
@@ -211,20 +196,6 @@ def span_coordinates(F: Field, v, basis_rows, pivots):
 
 def rank(F: Field, rows) -> int:
     return len(rref(F, rows)[0])
-
-
-def right_kernel(F: Field, rows, ncols: int):
-    """Basis (as rows of length ncols) of {v : M v = 0}, canonically ordered."""
-    R, pivots = rref(F, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [F.zero] * ncols
-        v[c] = F.one
-        for j, p in enumerate(pivots):
-            v[p] = F.neg(R[j][c])
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 @lru_cache(maxsize=None)

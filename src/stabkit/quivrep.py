@@ -10,7 +10,6 @@ total-dimension cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -154,9 +153,6 @@ class QuiverRep:
     @property
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def map_for(self, arrow: Arrow):
-        return self.maps[self.quiver.arrows.index(arrow)]
 
     def __eq__(self, other):
         if not isinstance(other, QuiverRep):

@@ -91,7 +91,7 @@ class SessionDocument:
             name: {
                 "dims": list(rep.dims),
                 "maps": {
-                    a.name: [[_fmt_entry(x) for x in row] for row in rep.maps[i]]
+                    a.name: [[fmt_entry(x) for x in row] for row in rep.maps[i]]
                     for i, a in enumerate(self.quiver.arrows)
                 },
             }
@@ -125,7 +125,7 @@ def _rep_name(doc: SessionDocument, rep: QuiverRep) -> str:
     raise UnknownNameError("complex references an undeclared representation")
 
 
-def _fmt_entry(x) -> int | str:
+def fmt_entry(x) -> int | str:
     if isinstance(x, int):
         return x
     return str(x)
@@ -138,7 +138,7 @@ def _fmt_scalar_json(x):
 
 
 def _expect(obj, typ, pointer, what):
-    if not isinstance(obj, typ):
+    if not isinstance(obj, typ) or (typ is int and isinstance(obj, bool)):
         raise SchemaError(pointer, f"expected {what}")
     return obj
 
@@ -243,6 +243,7 @@ def parse_session(text: str) -> SessionDocument:
         parts = []
         for k_str, rep_name in sorted(parts_raw.items()):
             pptr = ptr + f"/parts/{k_str}"
+            _expect(rep_name, str, pptr, "a representation name")
             try:
                 k = int(k_str)
             except ValueError:
@@ -261,6 +262,7 @@ def parse_session(text: str) -> SessionDocument:
             raise SchemaError(ptr, "'all' is a reserved testset name")
         _expect(traw, list, ptr, "a list of object names")
         for i, obj in enumerate(traw):
+            _expect(obj, str, ptr + f"/{i}", "an object name")
             if obj not in reps and obj not in complexes:
                 raise SchemaError(ptr + f"/{i}", f"unknown object {obj!r}")
         testsets[name] = tuple(traw)
@@ -275,7 +277,8 @@ def parse_session(text: str) -> SessionDocument:
             if cname not in charges:
                 raise SchemaError(ptr, f"unknown charge {cname!r}")
         track = tuple(_expect(praw.get("track", []), list, ptr + "/track", "a list of rep names"))
-        for t in track:
+        for i, t in enumerate(track):
+            _expect(t, str, ptr + f"/track/{i}", "a representation name")
             if t not in reps:
                 raise SchemaError(ptr + "/track", f"unknown representation {t!r}")
         pairs = None

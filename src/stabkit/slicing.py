@@ -1,5 +1,6 @@
 """Formal shifted-module complexes, their descending-phase decompositions,
-interval membership, and the finite-testset slicing metric.
+interval membership, and the finite-testset slicing metric, all taken in
+a stability condition given as a ``stabspace.StabilityConditionHandle``.
 
 The derived-category model is hereditary: an object is a finite formal
 direct sum of shifted representations.  Decompositions are then finite
@@ -10,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import quivrep, stability
 from .errors import FieldMismatchError, InvariantViolation, UnsupportedVerdictError, ZeroObjectError
 from .exactnum import PhaseKey, phase_diff_float
 from .quivrep import QuiverRep
 from .stability import CentralCharge
+
+if TYPE_CHECKING:
+    from .stabspace import StabilityConditionHandle
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,6 @@ class FormalComplex:
 
 
 @dataclass(frozen=True)
-class SlicingView:
-    """The slicing a charge induces on formal complexes over the heart."""
-
-    charge: CentralCharge
-
-
-@dataclass(frozen=True)
 class DecomposedFactor:
     shift: int
     factor: QuiverRep
@@ -99,34 +97,34 @@ def _module_hn_factors(rep: QuiverRep, Z: CentralCharge, cap: int):
     )
 
 
-def hn_decompose(fc: FormalComplex, S: SlicingView, cap: int = quivrep.DEFAULT_CAP) -> list[DecomposedFactor]:
-    """Descending-phase factors of a formal complex.
+def hn_decompose(fc: FormalComplex, S: StabilityConditionHandle,
+                 cap: int = quivrep.DEFAULT_CAP) -> list[DecomposedFactor]:
+    """Descending-phase factors of a formal complex in a stability condition.
 
     Per shift k the factors are the module-level filtration factors of
-    M_k with phases offset by k; concatenating over descending k keeps
-    the whole list strictly descending because a shift moves phases by
-    exactly one.
+    M_k under the handle's charge, with phases offset by k and relabeled
+    through the handle's plane-action element.  Concatenating over
+    descending k keeps the whole list strictly descending because a
+    shift moves phases by exactly one and relabeling is monotone; the
+    order is checked once, on the relabeled keys.
     """
     if fc.is_zero:
         raise ZeroObjectError("the zero object has no decomposition")
     out: list[DecomposedFactor] = []
     for k, rep in fc.parts:  # already sorted by descending shift
         for factor, key in _module_hn_factors(rep, S.charge, cap):
-            out.append(DecomposedFactor(k, factor, key.shift(k)))
+            out.append(DecomposedFactor(k, factor, S.g.relabel(key.shift(k))))
     for a, b in zip(out, out[1:]):
         if a.key.cmp(b.key) <= 0:
             raise InvariantViolation("decomposition phases are not strictly descending")
     return out
 
 
-def phi_bounds(fc: FormalComplex, S: SlicingView, cap: int = quivrep.DEFAULT_CAP) -> tuple[PhaseKey, PhaseKey]:
+def phi_bounds(fc: FormalComplex, S: StabilityConditionHandle,
+               cap: int = quivrep.DEFAULT_CAP) -> tuple[PhaseKey, PhaseKey]:
     """(phi_minus, phi_plus): last and first phases of the decomposition."""
     factors = hn_decompose(fc, S, cap)
     return factors[-1].key, factors[0].key
-
-
-def is_semistable_in(fc: FormalComplex, S: SlicingView, cap: int = quivrep.DEFAULT_CAP) -> bool:
-    return len(hn_decompose(fc, S, cap)) == 1
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ class PhaseInterval:
         return c < 0 if self.hi_open else c <= 0
 
 
-def in_interval(fc: FormalComplex, S: SlicingView, interval: PhaseInterval,
+def in_interval(fc: FormalComplex, S: StabilityConditionHandle, interval: PhaseInterval,
                 cap: int = quivrep.DEFAULT_CAP) -> bool:
     """Membership of fc in the slice of the interval (zero always belongs)."""
     if fc.is_zero:
@@ -174,21 +172,23 @@ class DistanceReport:
     kind: str = "lower_bound"
 
 
-def slicing_distance(S1: SlicingView, S2: SlicingView, testset: list[FormalComplex],
-                     labels: list[str] | None = None,
+def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
+                     testset: list[FormalComplex], labels: list[str] | None = None,
                      cap: int = quivrep.DEFAULT_CAP) -> DistanceReport:
     """max over the testset of max(|phi+ drift|, |phi- drift|).
 
-    A lower bound for the sup-over-all-objects slicing metric; integer
-    phase offsets survive exactly because the float conversion of a
-    phase difference with positively proportional directions is 0.0.
+    A lower bound for the sup-over-all-objects slicing metric.  It sees
+    plane-action relabelings (the shift offsets every phase by exactly
+    one), and integer phase offsets survive exactly because the float
+    conversion of a phase difference with positively proportional
+    directions is 0.0.
     """
     if not testset:
         raise ZeroObjectError("slicing distance needs a nonempty testset")
     rows = []
     for i, fc in enumerate(testset):
-        lo1, hi1 = phi_bounds(fc, S1, cap)
-        lo2, hi2 = phi_bounds(fc, S2, cap)
+        lo1, hi1 = phi_bounds(fc, s1, cap)
+        lo2, hi2 = phi_bounds(fc, s2, cap)
         rows.append(ObjectDrift(
             labels[i] if labels else str(i),
             phase_diff_float(lo1, lo2),
@@ -210,12 +210,12 @@ class ContainmentReport:
     rows: tuple[ContainmentRow, ...]
 
 
-def containment_check(S1: SlicingView, S2: SlicingView, eps: Fraction,
-                      testset: list[FormalComplex],
+def containment_check(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
+                      eps: Fraction, testset: list[FormalComplex],
                       labels: list[str] | None = None,
                       cap: int = quivrep.DEFAULT_CAP) -> ContainmentReport:
-    """Every S2-semistable testset object must sit in the closed eps-band
-    of S1-phases around its S2-phase.
+    """Every testset object, each required to be s2-semistable, must sit
+    in the closed eps-band of s1-phases around its s2-phase.
 
     Comparisons use the same advisory float phase differences as
     :func:`slicing_distance` (documented error below 2**-40 at desk
@@ -228,16 +228,15 @@ def containment_check(S1: SlicingView, S2: SlicingView, eps: Fraction,
     rows = []
     ok = True
     for i, fc in enumerate(testset):
-        factors2 = hn_decompose(fc, S2, cap)
+        label = labels[i] if labels else str(i)
+        factors2 = hn_decompose(fc, s2, cap)
         if len(factors2) != 1:
-            raise ZeroObjectError(
-                f"testset object {labels[i] if labels else i} is not semistable in the reference slicing"
-            )
+            raise ZeroObjectError(f"testset object {label} is not semistable in the reference condition")
         psi = factors2[0].key
-        lo1, hi1 = phi_bounds(fc, S1, cap)
+        lo1, hi1 = phi_bounds(fc, s1, cap)
         upper = phase_diff_float(hi1, psi) - eps_f
         lower = -phase_diff_float(lo1, psi) - eps_f
-        rows.append(ContainmentRow(labels[i] if labels else str(i), upper, lower))
+        rows.append(ContainmentRow(label, upper, lower))
         if upper > 0 or lower > 0:
             ok = False
     return ContainmentReport(ok, tuple(rows))

@@ -186,7 +186,6 @@ class HNFiltration:
     phases: tuple[PhaseKey, ...]
 
     def __post_init__(self):
-        Zsum = None
         for i in range(1, len(self.phases)):
             if self.phases[i - 1].cmp(self.phases[i]) <= 0:
                 raise InvariantViolation("filtration phases are not strictly descending")
@@ -330,39 +329,30 @@ def hn_filtration_mdq(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAU
 class MassEstimate:
     value: float
     error_bound: float
+    exact: Fraction  # the exact sum of enclosure midpoints that value rounds
 
     def __float__(self):
         return self.value
 
 
-def mass(factors: list[tuple[DimVector, PhaseKey]], Z: CentralCharge) -> MassEstimate:
-    """Sum of |Z| over the filtration factors, as a float with a bound.
+def mass(values: list[ExactComplex]) -> MassEstimate:
+    """Sum of |z| over the charges of the decomposition factors, as a
+    float with a bound.
 
-    Each |Z(alpha)| is bracketed by integer-square-root enclosures of the
-    exact squared modulus (width < 2**-69), the enclosure midpoints are
-    summed exactly, and only the final sum is rounded to a float; the
-    reported bound covers both stages and stays below 2**-40 at desk
-    scale.
+    Each |z| is bracketed by integer-square-root enclosures of the exact
+    squared modulus (width < 2**-69), the enclosure midpoints are summed
+    exactly, and only the final sum is rounded to a float; the reported
+    bound covers both stages and stays below 2**-40 at desk scale.
     """
     total = Fraction(0)
     slack = Fraction(0)
-    for alpha, _ph in factors:
-        q = Z.of(alpha).abs_squared()
-        lo, hi = sqrt_bounds(q, 70)
+    for z in values:
+        lo, hi = sqrt_bounds(z.abs_squared(), 70)
         total += (lo + hi) / 2
         slack += (hi - lo) / 2
     value = float(total)
     bound = float(slack) + abs(value) * 2.0 ** -52 + 2.0 ** -60
-    return MassEstimate(value, bound)
-
-
-def mass_exact_approx(factors: list[tuple[DimVector, PhaseKey]], Z: CentralCharge) -> Fraction:
-    """High-precision rational approximation of the mass (error < n * 2**-69)."""
-    total = Fraction(0)
-    for alpha, _ph in factors:
-        lo, hi = sqrt_bounds(Z.of(alpha).abs_squared(), 70)
-        total += (lo + hi) / 2
-    return total
+    return MassEstimate(value, bound, total)
 
 
 @dataclass(frozen=True)

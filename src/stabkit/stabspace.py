@@ -36,12 +36,13 @@ from .exactnum import (
     in_strict_upper_half,
     phase_diff_float,
     phase_key_anchor,
+    root_bounds,
     sign_of,
     sqrt_bounds,
 )
 from .linalg import Field
 from .quivrep import DimVector, Quiver
-from .slicing import FormalComplex, SlicingView
+from .slicing import FormalComplex
 from .stability import CentralCharge
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -124,11 +125,17 @@ class GLtildeElement:
         return phase_key_anchor(self.reference_direction(), self.m)
 
     def relabel(self, p: PhaseKey) -> PhaseKey:
-        """New phase of an object whose old phase is p, exactly.
+        """New phase of an object whose old phase is p, exactly; the
+        identity returns p itself, so its exact scalar types are kept."""
+        return p if self.is_identity else self.anchored(p)
+
+    def anchored(self, p: PhaseKey) -> PhaseKey:
+        """The new phase by the anchor arithmetic, for every element.
 
         anchor + ccw displacement from T^{-1}(i) to T^{-1}(direction of p
         as a plane vector) + twice the window index of p.  Monotone in p
-        and compatible with the shift by construction.
+        and compatible with the shift by construction.  For the identity
+        the phase is p's, but a direction along i comes back as i itself.
         """
         vec = p.dir if p.k % 2 == 0 else -p.dir
         disp = ccw_displacement(self.reference_direction(), mat2_apply(self.t_inv(), vec))
@@ -175,22 +182,23 @@ def invert(g: GLtildeElement) -> GLtildeElement:
 class StabilityConditionHandle:
     """A stability condition with the module category as reference heart.
 
-    Every handle is a plane-action translate of a plain one: ``base`` is
-    an honest half-plane charge on the heart and ``g`` the accumulated
-    group element.  Semistable objects are those of the base condition;
-    phases are relabeled through g and the charge is T^{-1} of the base.
+    This is the package's one stability-condition object.  Every handle
+    is a plane-action translate of a plain one: ``charge`` is an honest
+    half-plane charge on the heart and ``g`` the accumulated group
+    element.  Semistable objects are those of the plain condition;
+    phases are relabeled through g and the charge is T^{-1} of ``charge``.
     """
 
     quiver: Quiver
     field: Field
-    base: CentralCharge
+    charge: CentralCharge
     g: GLtildeElement = GLtildeElement.identity()
 
     def charge2d(self) -> tuple[ExactComplex, ...]:
-        return tuple(self.g.transform_charge(z) for z in self.base.values)
+        return tuple(self.g.transform_charge(z) for z in self.charge.values)
 
     def charge_of(self, alpha: DimVector) -> ExactComplex:
-        return self.g.transform_charge(self.base.of(alpha))
+        return self.g.transform_charge(self.charge.of(alpha))
 
     @property
     def heart_compatible(self) -> bool:
@@ -201,40 +209,9 @@ class StabilityConditionHandle:
     def as_central_charge(self) -> CentralCharge:
         return CentralCharge(self.charge2d())
 
-    def view(self) -> SlicingView:
-        return SlicingView(self.base)
-
-    def decompose(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP):
-        """Descending factors with relabeled phases and transformed charges."""
-        out = []
-        for f in slicing.hn_decompose(fc, self.view(), cap):
-            out.append(slicing.DecomposedFactor(f.shift, f.factor, self.g.relabel(f.key)))
-        for a, b in zip(out, out[1:]):
-            if a.key.cmp(b.key) <= 0:
-                raise InvariantViolation("relabeling failed to preserve the descending order")
-        return out
-
-    def phi_bounds(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> tuple[PhaseKey, PhaseKey]:
-        factors = self.decompose(fc, cap)
-        return factors[-1].key, factors[0].key
-
     def semistable_phase(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> PhaseKey | None:
-        factors = self.decompose(fc, cap)
+        factors = slicing.hn_decompose(fc, self, cap)
         return factors[0].key if len(factors) == 1 else None
-
-    def mass_rational(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> Fraction:
-        """High-precision rational mass under the transformed charge."""
-        total = Fraction(0)
-        for f in self.decompose(fc, cap):
-            q = self.charge_of(f.factor.dims).abs_squared()
-            lo, hi = sqrt_bounds(q, 70)
-            total += (lo + hi) / 2
-        return total
-
-    def mass_estimate(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> stability.MassEstimate:
-        value = self.mass_rational(fc, cap)
-        n = len(fc.parts) * max(1, sum(sum(r.dims) for _, r in fc.parts))
-        return stability.MassEstimate(float(value), n * 2.0 ** -69 + abs(float(value)) * 2.0 ** -52)
 
 
 def plain_handle(quiver: Quiver, field: Field, Z: CentralCharge) -> StabilityConditionHandle:
@@ -250,7 +227,7 @@ def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
     the phases relabel.  The relabeled list carries one entry for each
     testset object that is semistable in sigma.
     """
-    sigma2 = StabilityConditionHandle(sigma.quiver, sigma.field, sigma.base,
+    sigma2 = StabilityConditionHandle(sigma.quiver, sigma.field, sigma.charge,
                                       mul_sequential(sigma.g, g))
     relabeled = []
     if testset:
@@ -259,50 +236,6 @@ def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
             if key is not None:
                 relabeled.append((fc, sigma2.semistable_phase(fc, cap)))
     return sigma2, relabeled
-
-
-def slicing_distance_handles(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                             testset: list[FormalComplex], labels: list[str] | None = None,
-                             cap: int = quivrep.DEFAULT_CAP) -> slicing.DistanceReport:
-    """Slicing distance between handles; unlike the charge-level version
-    this sees plane-action relabelings (e.g. the shift offsets phases by
-    exactly one)."""
-    if not testset:
-        raise ZeroObjectError("slicing distance needs a nonempty testset")
-    rows = []
-    for i, fc in enumerate(testset):
-        lo1, hi1 = s1.phi_bounds(fc, cap)
-        lo2, hi2 = s2.phi_bounds(fc, cap)
-        rows.append(slicing.ObjectDrift(
-            labels[i] if labels else str(i),
-            phase_diff_float(lo1, lo2),
-            phase_diff_float(hi1, hi2),
-        ))
-    return slicing.DistanceReport(max(r.value for r in rows), tuple(rows))
-
-
-def containment_check_handles(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                              eps: Fraction, testset: list[FormalComplex],
-                              labels: list[str] | None = None,
-                              cap: int = quivrep.DEFAULT_CAP) -> slicing.ContainmentReport:
-    """Handle-level analogue of :func:`slicing.containment_check`."""
-    if not testset:
-        raise ZeroObjectError("containment check needs a nonempty testset")
-    eps_f = float(eps)
-    rows = []
-    ok = True
-    for i, fc in enumerate(testset):
-        label = labels[i] if labels else str(i)
-        psi = s2.semistable_phase(fc, cap)
-        if psi is None:
-            raise ZeroObjectError(f"testset object {label} is not semistable in the reference condition")
-        lo1, hi1 = s1.phi_bounds(fc, cap)
-        upper = phase_diff_float(hi1, psi) - eps_f
-        lower = -phase_diff_float(lo1, psi) - eps_f
-        rows.append(slicing.ContainmentRow(label, upper, lower))
-        if upper > 0 or lower > 0:
-            ok = False
-    return slicing.ContainmentReport(ok, tuple(rows))
 
 
 def charge_matches_key(z: ExactComplex, key: PhaseKey) -> bool:
@@ -331,8 +264,8 @@ def norm_sigma(U: tuple[ExactComplex, ...], sigma: StabilityConditionHandle,
     """max |U(E)| / |Z(E)| over sigma-semistable testset objects."""
     if not testset:
         raise ZeroObjectError("norm needs a nonempty testset")
-    if len(U) != sigma.base.n:
-        raise StabkitError(f"linear map has {len(U)} components, charge expects {sigma.base.n}")
+    if len(U) != sigma.charge.n:
+        raise StabkitError(f"linear map has {len(U)} components, charge expects {sigma.charge.n}")
     rows = []
     for i, fc in enumerate(testset):
         if sigma.semistable_phase(fc, cap) is None:
@@ -424,7 +357,7 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
                 "heart-changing deformations are not supported"
             )
     W = CentralCharge(w_values)
-    Z = sigma.base
+    Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
     hyp_rows = []
     for i, fc in enumerate(testset):
@@ -451,7 +384,7 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
                 "rejected conservatively", boundary=True,
             )
     tau = StabilityConditionHandle(sigma.quiver, sigma.field, W)
-    dist = slicing.slicing_distance(SlicingView(Z), SlicingView(W), testset, labels, cap)
+    dist = slicing.slicing_distance(sigma, tau, testset, labels, cap)
     if not dist.value < float(eps):
         raise InvariantViolation(
             f"deformation conclusion failed: testset slicing distance {dist.value} is not below eps {eps}"
@@ -486,21 +419,29 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
                   testset: list[FormalComplex], labels: list[str] | None = None,
                   cap: int = quivrep.DEFAULT_CAP) -> StabDistanceReport:
     """Finite-testset lower bound for the metric on the space of
-    stability conditions: phase drifts plus log mass ratios."""
+    stability conditions: phase drifts plus log mass ratios.
+
+    Phases are read through :meth:`GLtildeElement.anchored` on every
+    handle, plain ones included.  On a plain handle that only rescales a
+    direction along i to i itself, which can move a drift's advisory
+    float in its last bits; the CLI's ``metric stab`` reports are pinned
+    to the anchored form.
+    """
     if not testset:
         raise ZeroObjectError("stability-space distance needs a nonempty testset")
     if s1.quiver != s2.quiver or s1.field != s2.field:
         raise StabkitError("stability conditions live over different hearts")
+    plain1, plain2 = (plain_handle(s.quiver, s.field, s.charge) for s in (s1, s2))
     rows = []
     for i, fc in enumerate(testset):
-        lo1, hi1 = s1.phi_bounds(fc, cap)
-        lo2, hi2 = s2.phi_bounds(fc, cap)
-        m1 = s1.mass_rational(fc, cap)
-        m2 = s2.mass_rational(fc, cap)
+        f1 = slicing.hn_decompose(fc, plain1, cap)
+        f2 = slicing.hn_decompose(fc, plain2, cap)
+        m1 = stability.mass([s1.charge_of(f.factor.dims) for f in f1]).exact
+        m2 = stability.mass([s2.charge_of(f.factor.dims) for f in f2]).exact
         rows.append(StabDistanceRow(
             labels[i] if labels else str(i),
-            phase_diff_float(lo2, lo1),
-            phase_diff_float(hi2, hi1),
+            phase_diff_float(s2.g.anchored(f2[-1].key), s1.g.anchored(f1[-1].key)),
+            phase_diff_float(s2.g.anchored(f2[0].key), s1.g.anchored(f1[0].key)),
             math.log(float(m2 / m1)),
         ))
     return StabDistanceReport(max(r.value for r in rows), tuple(rows))
@@ -574,19 +515,6 @@ def solve_alignment(q0: Fraction, q1: Fraction, q2: Fraction) -> list[RootValue]
     return [QuadScalar(a, -b, d), QuadScalar(a, b, d)]
 
 
-def root_float(x: RootValue) -> float:
-    return float(x)
-
-
-def root_bounds(x: RootValue, bits: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
-        return x, x
-    lo_s, hi_s = sqrt_bounds(Fraction(x.d), bits)
-    if x.b >= 0:
-        return x.a + x.b * lo_s, x.a + x.b * hi_s
-    return x.a + x.b * hi_s, x.a + x.b * lo_s
-
-
 def cmp_roots(x: RootValue, y: RootValue) -> int:
     """Exact comparison of alignment parameters, possibly in different
     quadratic extensions (distinct irrationals are never equal)."""
@@ -619,7 +547,7 @@ class WallEvent:
 
     @property
     def t_float(self) -> float:
-        return root_float(self.t_exact)
+        return float(self.t_exact)
 
 
 @dataclass(frozen=True)
@@ -674,7 +602,7 @@ def _event_sort_key(events):
 
 
 def chamber_samples(events: tuple[WallEvent, ...]) -> list[Fraction]:
-    """Rational parameters strictly between consecutive distinct walls
+    """The rational parameters strictly between consecutive distinct walls
     (and before the first / after the last, inside [0, 1])."""
     values: list[RootValue] = []
     for e in events:
@@ -742,7 +670,7 @@ def validate_axioms(sigma: StabilityConditionHandle, testset: list[FormalComplex
     for i, fc in enumerate(testset):
         label = labels[i] if labels else str(i)
         try:
-            factors = sigma.decompose(fc, cap)
+            factors = slicing.hn_decompose(fc, sigma, cap)
             descending = all(a.key.cmp(b.key) > 0 for a, b in zip(factors, factors[1:]))
             checks.append(AxiomCheck("d", label, descending,
                                      "strictly descending phases" if descending else "phase order violated"))
@@ -751,8 +679,8 @@ def validate_axioms(sigma: StabilityConditionHandle, testset: list[FormalComplex
             continue
         if len(factors) == 1:
             semistables.append((label, fc, factors[0].key))
-        lo, hi = sigma.phi_bounds(fc, cap)
-        lo_s, hi_s = sigma.phi_bounds(fc.shifted(1), cap)
+        lo, hi = factors[-1].key, factors[0].key
+        lo_s, hi_s = slicing.phi_bounds(fc.shifted(1), sigma, cap)
         ok_b = lo_s.cmp(lo.shift(1)) == 0 and hi_s.cmp(hi.shift(1)) == 0
         checks.append(AxiomCheck("b", label, ok_b,
                                  "shift adds exactly one to both phase bounds" if ok_b else "shift offset wrong"))

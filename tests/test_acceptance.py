@@ -19,7 +19,7 @@ from stabkit.ellcurve import NumClass, charge_of_element, classify, modular_redu
 from stabkit.errors import HypothesisViolatedError
 from stabkit.exactnum import ExactComplex, QuadScalar, normalize_direction
 from stabkit.quivrep import hom_dim, simple_rep
-from stabkit.slicing import FormalComplex
+from stabkit.slicing import FormalComplex, slicing_distance
 from stabkit.stability import (
     CentralCharge,
     check_discreteness,
@@ -40,7 +40,6 @@ from stabkit.stabspace import (
     mat2,
     mat2_det,
     plain_handle,
-    slicing_distance_handles,
     stab_distance,
 )
 
@@ -191,7 +190,7 @@ def test_c4_hom_vanishing():
 
 def test_c5_mass_inequality():
     for quiver, r, Z, f1, _f2 in fuzz_filtrations():
-        m = mass([(f.dims, p) for f, p in zip(f1.factors, f1.phases)], Z)
+        m = mass([Z.of(f.dims) for f in f1.factors])
         z_abs = math.sqrt(float(Z.of(r.dims).abs_squared()))
         assert m.value >= z_abs - TOL_MASS
         if f1.length == 1:
@@ -295,7 +294,7 @@ def test_c8_metric_fixtures(a2_reps, z_std):
     d = stab_distance(s1, s2, testset)
     assert abs(d.value - math.log(2)) < TOL_LOG
     s3, _ = gl_act(s1, GLtildeElement.shift())
-    sl = slicing_distance_handles(s1, s3, testset)
+    sl = slicing_distance(s1, s3, testset)
     assert sl.value == 1.0
     _ok("8 (metric fixtures)", "scaling gives log 2 within 1e-12, shift gives exactly 1")
 

@@ -11,11 +11,11 @@ from stabkit.exactnum import (
     PhaseKey,
     QuadScalar,
     ccw_displacement,
-    cmp_phase,
     in_strict_upper_half,
     normalize_direction,
     phase_diff_float,
     phase_key_anchor,
+    root_bounds,
     sqrt_bounds,
 )
 
@@ -31,9 +31,9 @@ def test_strict_upper_half_examples():
 
 
 def test_cmp_phase_examples():
-    assert cmp_phase(PhaseKey(0, ec(1, 1)), PhaseKey(0, ec(0, 1))) < 0
-    assert cmp_phase(PhaseKey(0, ec(-1, 1)), PhaseKey(0, ec(0, 1))) > 0
-    assert cmp_phase(PhaseKey(1, ec(0, 1)), PhaseKey(0, ec(-1, 0))) > 0
+    assert PhaseKey(0, ec(1, 1)).cmp(PhaseKey(0, ec(0, 1))) < 0
+    assert PhaseKey(0, ec(-1, 1)).cmp(PhaseKey(0, ec(0, 1))) > 0
+    assert PhaseKey(1, ec(0, 1)).cmp(PhaseKey(0, ec(-1, 0))) > 0
     assert PhaseKey(0, ec(2, 2)) == PhaseKey(0, ec(1, 1))
 
 
@@ -44,8 +44,12 @@ def test_quad_sign_examples():
 
 
 def test_quad_requires_square_free():
-    with pytest.raises(UnsupportedScalarError):
-        QuadScalar(Fraction(1), Fraction(1), 4)
+    for _ in range(2):  # the memoized check still refuses on a repeat
+        with pytest.raises(UnsupportedScalarError):
+            QuadScalar(Fraction(1), Fraction(1), 4)
+        with pytest.raises(UnsupportedScalarError):
+            QuadScalar(Fraction(1), Fraction(1), 12)
+        assert QuadScalar(Fraction(1), Fraction(1), 6).d == 6
     with pytest.raises(UnsupportedScalarError):
         QuadScalar(Fraction(1), Fraction(1), 1)
 
@@ -156,13 +160,6 @@ def test_phase_diff_float_exact_on_proportional():
     assert phase_diff_float(p, q) == 2.0
 
 
-def test_displacement_integer_shift():
-    d = ccw_displacement(ec(1, 0), ec(0, 1))  # 1/2
-    assert abs(d.shifted(1).float_value() - 1.5) < 1e-12
-    assert d.shifted(2) == d
-    assert d.shifted(-1) == d.shifted(1)
-
-
 @given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 3))
 @settings(max_examples=100)
 def test_sqrt_bounds_enclose(num, den):
@@ -170,3 +167,11 @@ def test_sqrt_bounds_enclose(num, den):
     lo, hi = sqrt_bounds(q, 70)
     assert lo * lo <= q <= hi * hi
     assert hi - lo <= Fraction(2, 2 ** 70)
+
+
+def test_root_bounds_enclose_quadratic_scalars():
+    for x in (QuadScalar(Fraction(1, 3), Fraction(5, 7), 2), QuadScalar(Fraction(-2), Fraction(-3, 4), 7)):
+        lo, hi = root_bounds(x, 60)
+        assert (x - lo).sign() > 0 and (hi - x).sign() > 0
+        assert hi - lo <= abs(x.b) * Fraction(2, 2 ** 60)
+    assert root_bounds(Fraction(3, 5), 60) == (Fraction(3, 5), Fraction(3, 5))

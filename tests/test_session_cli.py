@@ -200,3 +200,42 @@ def test_cli_invariant_violation_exit_3(fixture_path, monkeypatch):
 def test_cli_json_byte_determinism(fixture_path):
     args = ("--input", str(fixture_path), "hn", "P", "Zflip")
     assert run_cli(*args) == run_cli(*args)
+
+
+def _malformed_fixture_exit(fixture_path, tmp_path, mutate):
+    doc = json.loads(fixture_path.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, text = run_cli("--input", str(bad), "semistable", "P", "Zstd")
+    payload = json.loads(text)
+    assert payload["ok"] is False and payload["error"] == "SchemaError"
+    return code, payload["message"]
+
+
+def test_cli_list_in_testset_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["testsets"].update(bad=["S1", ["S2"]]))
+    assert code == 2
+    assert message.startswith("at /testsets/bad/1:")
+
+
+def test_cli_list_as_complex_part_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["complexes"].update(bad={"parts": {"0": ["S1"]}}))
+    assert code == 2
+    assert message.startswith("at /complexes/bad/parts/0:")
+
+
+def test_cli_list_in_path_track_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["paths"]["path1"].update(track=[["P"]]))
+    assert code == 2
+    assert message.startswith("at /paths/path1/track/0:")
+
+
+def test_cli_boolean_dims_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["reps"].update(B={"dims": [True, True], "maps": {}}))
+    assert code == 2
+    assert message.startswith("at /reps/B/dims/0:")

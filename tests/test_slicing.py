@@ -8,7 +8,6 @@ from stabkit.quivrep import all_ses, sub_rep
 from stabkit.slicing import (
     FormalComplex,
     PhaseInterval,
-    SlicingView,
     containment_check,
     hn_decompose,
     in_interval,
@@ -16,64 +15,69 @@ from stabkit.slicing import (
     slicing_distance,
 )
 from stabkit.stability import phase
+from stabkit.stabspace import plain_handle
 from stabkit.errors import ZeroObjectError
 
-from support import ec, charge, instance_stream, random_charge
+from support import A2, F2, ec, charge, instance_stream, random_charge
 
 
 def fc0(rep):
     return FormalComplex.of_module(rep)
 
 
+def handle(Z):
+    return plain_handle(A2, F2, Z)
+
+
 def test_decompose_single_semistable(a2_reps, z_std):
-    out = hn_decompose(fc0(a2_reps["P"]), SlicingView(z_std))
+    out = hn_decompose(fc0(a2_reps["P"]), handle(z_std))
     assert len(out) == 1
     assert out[0].shift == 0 and out[0].factor.dims == (1, 1)
 
 
 def test_decompose_two_degrees(a2_reps, z_std):
     fc = FormalComplex(((1, a2_reps["S1"]), (0, a2_reps["S2"])))
-    out = hn_decompose(fc, SlicingView(z_std))
+    out = hn_decompose(fc, handle(z_std))
     assert [(f.shift, f.factor.dims) for f in out] == [(1, (1, 0)), (0, (0, 1))]
     assert [round(f.key.float_value(), 6) for f in out] == [1.75, 0.25]
 
 
 def test_decompose_unstable_module(a2_reps, z_flip):
-    out = hn_decompose(fc0(a2_reps["P"]), SlicingView(z_flip))
+    out = hn_decompose(fc0(a2_reps["P"]), handle(z_flip))
     assert [(f.shift, f.factor.dims) for f in out] == [(0, (0, 1)), (0, (1, 0))]
     assert [round(f.key.float_value(), 6) for f in out] == [0.75, 0.25]
 
 
 def test_decompose_zero_rejected(z_std):
     with pytest.raises(ZeroObjectError):
-        hn_decompose(FormalComplex(()), SlicingView(z_std))
+        hn_decompose(FormalComplex(()), handle(z_std))
 
 
 def test_phi_bounds_examples(a2_reps, z_std, z_flip):
-    lo, hi = phi_bounds(fc0(a2_reps["P"]), SlicingView(z_std))
+    lo, hi = phi_bounds(fc0(a2_reps["P"]), handle(z_std))
     assert lo == hi
     fc = FormalComplex(((1, a2_reps["S1"]), (0, a2_reps["S2"])))
-    lo2, hi2 = phi_bounds(fc, SlicingView(z_std))
+    lo2, hi2 = phi_bounds(fc, handle(z_std))
     assert (round(lo2.float_value(), 6), round(hi2.float_value(), 6)) == (0.25, 1.75)
-    lo3, hi3 = phi_bounds(fc0(a2_reps["P"]), SlicingView(z_flip))
+    lo3, hi3 = phi_bounds(fc0(a2_reps["P"]), handle(z_flip))
     assert (round(lo3.float_value(), 6), round(hi3.float_value(), 6)) == (0.25, 0.75)
 
 
 def test_in_interval_examples(a2_reps, z_std, z_flip):
-    S = SlicingView(z_std)
+    S = handle(z_std)
     # semistable P has phase 1/2; a narrow interval around it contains it
     band = PhaseInterval(PhaseKey(0, ec(1, 2)), PhaseKey(0, ec(-1, 2)))
     assert in_interval(fc0(a2_reps["P"]), S, band)
     # unstable P under the flipped charge is not in (1/2, 1]
     half_open = PhaseInterval(PhaseKey(0, ec(0, 1)), PhaseKey(0, ec(-1, 0)), True, False)
-    assert not in_interval(fc0(a2_reps["P"]), SlicingView(z_flip), half_open)
+    assert not in_interval(fc0(a2_reps["P"]), handle(z_flip), half_open)
     # the zero object belongs to every interval slice
     assert in_interval(FormalComplex(()), S, band)
 
 
 def test_slicing_distance_identity(a2_reps, z_std):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
-    rep = slicing_distance(SlicingView(z_std), SlicingView(z_std), testset)
+    rep = slicing_distance(handle(z_std), handle(z_std), testset)
     assert rep.value == 0.0
     assert rep.kind == "lower_bound"
 
@@ -82,7 +86,7 @@ def test_slicing_distance_quarter_example(a2_reps):
     z1 = charge((-1, 1), (1, 1))
     z2 = charge((-1, 1), (0, 1))
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
-    rep = slicing_distance(SlicingView(z1), SlicingView(z2), testset, labels=["S1", "S2", "P"])
+    rep = slicing_distance(handle(z1), handle(z2), testset, labels=["S1", "S2", "P"])
     assert abs(rep.value - 0.25) < 1e-12  # S2 moves from 1/4 to 1/2
     by_label = {r.label: r for r in rep.rows}
     assert by_label["S1"].value == 0.0
@@ -91,12 +95,12 @@ def test_slicing_distance_quarter_example(a2_reps):
 
 def test_containment_examples(a2_reps, z_std):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
-    S = SlicingView(z_std)
+    S = handle(z_std)
     assert containment_check(S, S, Fraction(0), testset).ok
     z2 = charge((-1, 1), (0, 1))
-    rep = containment_check(SlicingView(z2), S, Fraction(1, 4), testset)
+    rep = containment_check(handle(z2), S, Fraction(1, 4), testset)
     assert rep.ok  # drift is exactly 1/4 and the band is closed
-    rep2 = containment_check(SlicingView(z2), S, Fraction(1, 5), testset)
+    rep2 = containment_check(handle(z2), S, Fraction(1, 5), testset)
     assert not rep2.ok
 
 
@@ -107,7 +111,7 @@ def test_distance_implies_containment_on_random_pairs(a2_reps):
     for _ in range(40):
         za = random_charge(rng, 2)
         zb = random_charge(rng, 2)
-        Sa, Sb = SlicingView(za), SlicingView(zb)
+        Sa, Sb = handle(za), handle(zb)
         try:
             d = slicing_distance(Sa, Sb, testset)
         except Exception:
@@ -126,7 +130,7 @@ def test_pseudometric_properties(a2_reps):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P", "SS")]
     for _ in range(25):
         za, zb, zc = (random_charge(rng, 2) for _ in range(3))
-        Sa, Sb, Sc = SlicingView(za), SlicingView(zb), SlicingView(zc)
+        Sa, Sb, Sc = handle(za), handle(zb), handle(zc)
         dab = slicing_distance(Sa, Sb, testset).value
         dba = slicing_distance(Sb, Sa, testset).value
         assert abs(dab - dba) < 1e-12
@@ -137,7 +141,7 @@ def test_pseudometric_properties(a2_reps):
 
 def test_shifted_sum_phase_bound_lemma(a2_reps, z_flip):
     # split extensions: phi+(A) <= phi+(A+B) and phi-(A+B) <= phi-(B)
-    S = SlicingView(z_flip)
+    S = handle(z_flip)
     fa = FormalComplex(((1, a2_reps["S1"]),))
     fb = fc0(a2_reps["P"])
     fe = fa.direct_sum(fb)
@@ -148,7 +152,7 @@ def test_shifted_sum_phase_bound_lemma(a2_reps, z_flip):
 def test_sub_quotient_phase_bounds_on_instances():
     # non-split sequences embedded in degree zero
     for _, r, Z in instance_stream(seed=55, count=20, max_total=5, max_per_vertex=3):
-        S = SlicingView(Z)
+        S = plain_handle(r.quiver, r.field, Z)
         he = phi_bounds(fc0(r), S)
         for sub, quot in all_ses(r):
             ha = phi_bounds(fc0(sub_rep(r, sub)), S)
@@ -158,7 +162,7 @@ def test_sub_quotient_phase_bounds_on_instances():
 
 
 def test_decompose_idempotent_on_factors(a2_reps, z_flip):
-    S = SlicingView(z_flip)
+    S = handle(z_flip)
     out = hn_decompose(fc0(a2_reps["P"]), S)
     for f in out:
         again = hn_decompose(FormalComplex(((f.shift, f.factor),)), S)

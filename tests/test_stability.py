@@ -78,17 +78,17 @@ def test_hn_zero_rep_rejected(z_std):
 
 def test_mass_examples(a2_reps, z_std, z_flip):
     filt = hn_filtration_max_sub(a2_reps["P"], z_std)
-    m = mass([(f.dims, p) for f, p in zip(filt.factors, filt.phases)], z_std)
+    m = mass([z_std.of(f.dims) for f in filt.factors])
     assert abs(m.value - 2.0) < 1e-12  # |Z(P)| = |2i|
     filt2 = hn_filtration_max_sub(a2_reps["P"], z_flip)
-    m2 = mass([(f.dims, p) for f, p in zip(filt2.factors, filt2.phases)], z_flip)
+    m2 = mass([z_flip.of(f.dims) for f in filt2.factors])
     assert abs(m2.value - 2 * math.sqrt(2)) < 1e-12
     assert m2.value > 2.0  # strict triangle inequality for a length-2 chain
     assert m2.error_bound <= 2.0 ** -40
     # doubling a semistable doubles the mass
     ss2 = direct_sum(a2_reps["S1"], a2_reps["S1"])
     filt3 = hn_filtration_max_sub(ss2, z_std)
-    m3 = mass([(f.dims, p) for f, p in zip(filt3.factors, filt3.phases)], z_std)
+    m3 = mass([z_std.of(f.dims) for f in filt3.factors])
     assert abs(m3.value - 2 * math.sqrt(2)) < 1e-12
 
 

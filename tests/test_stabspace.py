@@ -13,7 +13,7 @@ from stabkit.errors import (
     StabkitError,
 )
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
-from stabkit.slicing import FormalComplex
+from stabkit.slicing import FormalComplex, containment_check, hn_decompose, slicing_distance
 from stabkit.stability import CentralCharge, is_semistable
 from stabkit.stabspace import (
     ChargePath,
@@ -21,7 +21,6 @@ from stabkit.stabspace import (
     chamber_samples,
     charge_matches_key,
     compose,
-    containment_check_handles,
     deform,
     find_walls,
     gl_act,
@@ -32,7 +31,6 @@ from stabkit.stabspace import (
     norm_sigma,
     plain_handle,
     sin_pi_eps_bounds,
-    slicing_distance_handles,
     solve_alignment,
     stab_distance,
     validate_axioms,
@@ -195,7 +193,7 @@ def test_deform_identity(a2_reps, z_std):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     tau, report = deform(sigma, z_std.values, Fraction(1, 10), testset)
     assert report.distance == 0.0
-    assert tau.base == z_std
+    assert tau.charge == z_std
 
 
 def test_deform_fixture(a2_reps, z_std):
@@ -205,7 +203,7 @@ def test_deform_fixture(a2_reps, z_std):
     tau, report = deform(sigma, w.values, Fraction(1, 10), testset, labels=["S1", "S2", "P"])
     assert report.distance < 0.1
     assert all(r.margin > 0 for r in report.hypothesis)
-    assert tau.base == w
+    assert tau.charge == w
 
 
 def test_deform_across_wall(a2_reps):
@@ -261,9 +259,9 @@ def test_stab_distance_shift(a2_reps, z_std):
     s2, _ = gl_act(s1, GLtildeElement.shift())
     d = stab_distance(s1, s2, testset)
     assert d.value == 1.0
-    sl = slicing_distance_handles(s1, s2, testset)
+    sl = slicing_distance(s1, s2, testset)
     assert sl.value == 1.0
-    assert not containment_check_handles(s1, s2, Fraction(1, 2), testset).ok
+    assert not containment_check(s1, s2, Fraction(1, 2), testset).ok
 
 
 def test_stab_pseudometric_random(a2_reps):
@@ -395,3 +393,21 @@ def test_axiom_b_on_shifted_pair(a2_reps, z_std):
     k0 = sigma.semistable_phase(m)
     k1 = sigma.semistable_phase(m.shifted(1))
     assert k1 == k0.shift(1)
+
+
+def test_identity_relabel_keeps_exact_scalar_types():
+    # a direction with a rational real part and an irrational imaginary part
+    p = PhaseKey(0, ExactComplex(Fraction(1), QuadScalar(Fraction(0), Fraction(1), 2)))
+    assert GLtildeElement.identity().relabel(p) is p
+    moved = GLtildeElement.identity().anchored(p)
+    assert moved == p and isinstance(moved.dir.re, QuadScalar)
+
+
+def test_decompose_relabels_through_the_handle(a2_reps, z_flip):
+    sigma = handle(z_flip)
+    shifted, _ = gl_act(sigma, GLtildeElement.shift())
+    fc = fc0(a2_reps["P"])
+    plain = hn_decompose(fc, sigma)
+    moved = hn_decompose(fc, shifted)
+    assert [f.factor.dims for f in moved] == [f.factor.dims for f in plain]
+    assert [m.key.cmp(p.key.shift(1)) for m, p in zip(moved, plain)] == [0, 0]
