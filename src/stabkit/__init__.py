@@ -26,8 +26,8 @@ from .quivrep import (
     enumerate_submodules,
     euler_form,
     hom_dim,
-    quotient,
     simple_rep,
+    subquotient,
 )
 from .slicing import FormalComplex, PhaseInterval, containment_check, hn_decompose, in_interval, phi_bounds, slicing_distance
 from .stability import (

@@ -262,25 +262,9 @@ class Submodule:
 
 
 def _invariant(rep: QuiverRep, rows, pivots) -> bool:
-    F = rep.field
-    for idx, a in enumerate(rep.quiver.arrows):
-        src, tgt = a.src - 1, a.tgt - 1
-        M = rep.maps[idx]
-        for u in rows[src]:
-            image = linalg.mat_vec(F, M, u)
-            if not linalg.in_span(F, image, rows[tgt], pivots[tgt]):
-                return False
-    return True
-
-
-def submodule_from_rows(rep: QuiverRep, raw_rows) -> Submodule:
-    """Canonicalize arbitrary spanning rows per vertex into a Submodule."""
-    rows, pivots = [], []
-    for v in range(rep.quiver.n):
-        R, P = linalg.rref(rep.field, raw_rows[v])
-        rows.append(R)
-        pivots.append(P)
-    return Submodule(rep, tuple(rows), tuple(pivots))
+    arrows = [(idx, a.src - 1, a.tgt - 1) for idx, a in enumerate(rep.quiver.arrows)]
+    chosen = list(zip(rows, pivots))
+    return all(_partial_invariant(rep, arrows, chosen, v) for v in range(rep.quiver.n))
 
 
 def zero_submodule(rep: QuiverRep) -> Submodule:
@@ -348,97 +332,50 @@ def _partial_invariant(rep, arrows, chosen, upto) -> bool:
     return True
 
 
-def sub_rep(rep: QuiverRep, sub: Submodule) -> QuiverRep:
-    """The submodule as a representation in its own echelon coordinates."""
+def subquotient(rep: QuiverRep, lower: Submodule, upper: Submodule) -> QuiverRep:
+    """The representation upper/lower for submodules lower <= upper of rep.
+
+    At each vertex the rows of upper's echelon basis are reduced modulo
+    lower and brought back to echelon form; they span a complement of
+    lower in upper.  A vector of upper has as coordinates those of its
+    remainder modulo lower in that basis.  With upper full the basis is
+    the unit vectors at lower's non-pivot columns (the quotient rep/lower);
+    with lower zero it is upper's own basis (upper as a representation).
+    """
+    for sub in (lower, upper):
+        if sub.parent is not rep and sub.parent != rep:
+            raise FieldMismatchError("submodule belongs to a different representation")
+    if not upper.contains(lower):
+        raise SchemaError("/submodule", "the lower submodule is not contained in the upper one")
     F = rep.field
+    bases = [
+        linalg.rref(F, [linalg.reduce_vector(F, u, lower.rows[v], lower.pivots[v]) for u in upper.rows[v]])
+        for v in range(rep.quiver.n)
+    ]
     maps = []
     for idx, a in enumerate(rep.quiver.arrows):
         src, tgt = a.src - 1, a.tgt - 1
         M = rep.maps[idx]
+        rows_t, piv_t = bases[tgt]
         cols = []
-        for u in sub.rows[src]:
-            image = linalg.mat_vec(F, M, u)
-            coords = linalg.span_coordinates(F, image, sub.rows[tgt], sub.pivots[tgt])
+        for u in bases[src][0]:
+            image = linalg.reduce_vector(F, linalg.mat_vec(F, M, u), lower.rows[tgt], lower.pivots[tgt])
+            coords = linalg.span_coordinates(F, image, rows_t, piv_t)
             if coords is None:
                 raise SchemaError("/submodule", "subspaces are not arrow-invariant")
             cols.append(coords)
-        r_t = len(sub.rows[tgt])
-        maps.append(tuple(tuple(col[i] for col in cols) for i in range(r_t)))
-    return QuiverRep(rep.quiver, F, sub.dims, tuple(maps))
-
-
-def quotient(rep: QuiverRep, sub: Submodule) -> QuiverRep:
-    """Quotient representation rep / sub with induced arrow maps."""
-    return quotient_with_complement(rep, sub)[0]
-
-
-def quotient_with_complement(rep: QuiverRep, sub: Submodule):
-    """Quotient plus, per vertex, the non-pivot columns that model it.
-
-    The quotient space at a vertex is identified with the span of the
-    unit vectors at the non-pivot columns of the submodule basis; the
-    identification is 'reduce modulo the basis, read off non-pivot
-    coordinates'.
-    """
-    if sub.parent is not rep and sub.parent != rep:
-        raise FieldMismatchError("submodule belongs to a different representation")
-    F = rep.field
-    complements = []
-    for v in range(rep.quiver.n):
-        complements.append(tuple(c for c in range(rep.dims[v]) if c not in sub.pivots[v]))
-    qdims = tuple(len(c) for c in complements)
-    maps = []
-    for idx, a in enumerate(rep.quiver.arrows):
-        src, tgt = a.src - 1, a.tgt - 1
-        M = rep.maps[idx]
-        cols = []
-        for c in complements[src]:
-            e = tuple(F.one if i == c else F.zero for i in range(rep.dims[src]))
-            image = linalg.mat_vec(F, M, e)
-            reduced = linalg.reduce_vector(F, image, sub.rows[tgt], sub.pivots[tgt])
-            cols.append(tuple(reduced[cc] for cc in complements[tgt]))
-        maps.append(tuple(tuple(col[i] for col in cols) for i in range(qdims[tgt])))
-    return QuiverRep(rep.quiver, F, qdims, tuple(maps)), tuple(complements)
-
-
-def lift_submodule(rep: QuiverRep, sub: Submodule, quot_sub: Submodule, complements) -> Submodule:
-    """Preimage in rep of a submodule of the quotient rep/sub."""
-    F = rep.field
-    raw = []
-    for v in range(rep.quiver.n):
-        rows = list(sub.rows[v])
-        for qrow in quot_sub.rows[v]:
-            vec = [F.zero] * rep.dims[v]
-            for coord, col in zip(qrow, complements[v]):
-                vec[col] = coord
-            rows.append(tuple(vec))
-        raw.append(tuple(rows))
-    return submodule_from_rows(rep, raw)
-
-
-def compose_submodule(rep: QuiverRep, outer: Submodule, inner: Submodule) -> Submodule:
-    """Submodule of rep from a submodule of sub_rep(rep, outer)."""
-    F = rep.field
-    raw = []
-    for v in range(rep.quiver.n):
-        rows = []
-        for irow in inner.rows[v]:
-            vec = [F.zero] * rep.dims[v]
-            for coord, base in zip(irow, outer.rows[v]):
-                for c, x in enumerate(base):
-                    vec[c] = F.add(vec[c], F.mul(coord, x))
-            rows.append(tuple(vec))
-        raw.append(tuple(rows))
-    return submodule_from_rows(rep, raw)
+        maps.append(tuple(tuple(col[i] for col in cols) for i in range(len(rows_t))))
+    return QuiverRep(rep.quiver, F, tuple(len(rows) for rows, _ in bases), tuple(maps))
 
 
 def all_ses(rep: QuiverRep, cap: int = DEFAULT_CAP):
     """All short exact sequences 0 -> A -> rep -> B -> 0 with A proper nonzero."""
     out = []
+    full = full_submodule(rep)
     for sub in enumerate_submodules(rep, cap):
         if sub.is_zero or sub.is_full:
             continue
-        out.append((sub, quotient(rep, sub)))
+        out.append((sub, subquotient(rep, sub, full)))
     return out
 
 

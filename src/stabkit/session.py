@@ -18,6 +18,10 @@ from .slicing import FormalComplex
 from .stability import CentralCharge
 from .stabspace import ChargePath
 
+# Largest accepted quadratic-extension parameter D: checking that D is
+# square-free takes about sqrt(D) trial divisions.
+MAX_D = 10**12
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -143,6 +147,17 @@ def _expect(obj, typ, pointer, what):
     return obj
 
 
+def _parse_d(doc: dict, pointer: str) -> int | None:
+    """The optional quadratic-extension parameter D of a document."""
+    quad_d = doc.get("D")
+    if quad_d is not None:
+        _expect(quad_d, int, pointer, "an integer")
+        if quad_d > MAX_D:
+            raise SchemaError(pointer, f"D must be at most {MAX_D}, got {quad_d}")
+        QuadScalar(Fraction(0), Fraction(1), quad_d)  # validates square-freeness
+    return quad_d
+
+
 def _parse_scalar(raw, pointer: str, quad_d: int | None):
     if isinstance(raw, dict):
         if quad_d is None:
@@ -183,10 +198,7 @@ def parse_session(text: str) -> SessionDocument:
     fname = _expect(doc.get("field"), str, "/field", "a field name")
     field = linalg.field_by_name(fname)
 
-    quad_d = doc.get("D")
-    if quad_d is not None:
-        _expect(quad_d, int, "/D", "an integer")
-        QuadScalar(Fraction(0), Fraction(1), quad_d)  # validates square-freeness
+    quad_d = _parse_d(doc, "/D")
 
     reps: dict[str, QuiverRep] = {}
     for name, rraw in sorted(_expect(doc.get("reps", {}), dict, "/reps", "an object").items()):
@@ -290,7 +302,10 @@ def parse_session(text: str) -> SessionDocument:
                 if (not isinstance(pr, list) or len(pr) != 2
                         or any(not isinstance(v, list) or len(v) != quiver.n for v in pr)):
                     raise SchemaError(pptr, f"a pair is two integer vectors of length {quiver.n}")
-                pairs.append((tuple(pr[0]), tuple(pr[1])))
+                pairs.append(tuple(
+                    tuple(_expect(x, int, f"{pptr}/{j}/{k}", "an integer") for k, x in enumerate(v))
+                    for j, v in enumerate(pr)
+                ))
             pairs = tuple(pairs)
         paths[name] = PathSpec(start, end, track, pairs)
 
@@ -313,10 +328,7 @@ def parse_charge_document(text: str) -> CentralCharge:
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     body = _expect(_expect(doc, dict, "/", "a JSON object").get("charge"), dict, "/charge", "an object")
-    quad_d = body.get("D")
-    if quad_d is not None:
-        _expect(quad_d, int, "/charge/D", "an integer")
-        QuadScalar(Fraction(0), Fraction(1), quad_d)
+    quad_d = _parse_d(body, "/charge/D")
     values = []
     for i, zv in enumerate(_expect(body.get("z"), list, "/charge/z", "a list")):
         zptr = f"/charge/z/{i}"

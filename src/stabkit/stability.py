@@ -9,6 +9,7 @@ minimal-phase quotients) exists precisely to oracle-check the first
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,72 +217,65 @@ def _check_factors_semistable(filt: HNFiltration, Z: CentralCharge, cap: int):
             raise InvariantViolation("a filtration factor is not semistable")
 
 
+def _filtration(rep: QuiverRep, chain: list[Submodule], phases: list[PhaseKey]) -> HNFiltration:
+    factors = tuple(quivrep.subquotient(rep, a, b) for a, b in zip(chain, chain[1:]))
+    return HNFiltration(rep, tuple(chain), factors, tuple(phases))
+
+
 def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_CAP,
                           validate: bool = True) -> HNFiltration:
-    """Filtration by recursive extraction of the maximal-phase subobject.
+    """Filtration by repeated extraction of the maximal-phase subobject.
 
-    Among all nonzero submodules take those of maximal phase, among those
-    the unique one of maximal total dimension; it is the first step of
-    the filtration, and the rest is the filtration of the quotient,
-    lifted back.  Non-uniqueness is an internal-invariant violation, not
-    a tie to be broken.
+    The submodules of rep are enumerated once.  Above the current step A
+    they are the submodules C > A, which correspond to the nonzero
+    submodules C/A of the quotient rep/A.  Among them take those where
+    phase(C/A) is maximal, among those the unique one of maximal total
+    dimension; it is the next step.  Non-uniqueness is an
+    internal-invariant violation, not a tie to be broken.
     """
     if rep.is_zero:
         raise ZeroObjectError("the zero representation has no filtration")
-
-    def recurse(cur: QuiverRep):
-        subs = [s for s in quivrep.enumerate_submodules(cur, cap) if not s.is_zero]
-        best = None
-        for s in subs:
-            ph = phase(s.dims, Z)
-            if best is None or ph.cmp(best) > 0:
-                best = ph
-        tied = [s for s in subs if phase(s.dims, Z).cmp(best) == 0]
-        maxdim = max(s.total_dim for s in tied)
-        top = [s for s in tied if s.total_dim == maxdim]
+    subs = quivrep.enumerate_submodules(rep, cap)
+    class_phase = functools.cache(lambda beta: phase(beta, Z))
+    chain = [quivrep.zero_submodule(rep)]
+    phases: list[PhaseKey] = []
+    while not chain[-1].is_full:
+        A = chain[-1]
+        above = [(class_phase(quivrep.dim_sub(C.dims, A.dims)), C)
+                 for C in subs if C.total_dim > A.total_dim and C.contains(A)]
+        best = max(ph for ph, _ in above)
+        tied = [C for ph, C in above if ph == best]
+        maxdim = max(C.total_dim for C in tied)
+        top = [C for C in tied if C.total_dim == maxdim]
         if len(top) != 1:
             raise InvariantViolation(
                 "maximal-phase subobject of maximal dimension is not unique; "
-                f"{len(top)} candidates of dimension {maxdim}"
+                f"{len(top)} candidates of dimension {maxdim - A.total_dim}"
             )
-        A = top[0]
-        if A.is_full:
-            return (
-                [quivrep.zero_submodule(cur), quivrep.full_submodule(cur)],
-                [cur],
-                [best],
-            )
-        quot, compl = quivrep.quotient_with_complement(cur, A)
-        t_chain, t_factors, t_phases = recurse(quot)
-        chain = [quivrep.zero_submodule(cur), A]
-        for s in t_chain[1:]:
-            chain.append(quivrep.lift_submodule(cur, A, s, compl))
-        return chain, [quivrep.sub_rep(cur, A)] + t_factors, [best] + t_phases
-
-    chain, factors, phases = recurse(rep)
-    filt = HNFiltration(rep, tuple(chain), tuple(factors), tuple(phases))
+        chain.append(top[0])
+        phases.append(best)
+    filt = _filtration(rep, chain, phases)
     if validate:
         _check_factors_semistable(filt, Z, cap)
     return filt
 
 
-def _mdq_kernel(rep: QuiverRep, Z: CentralCharge, cap: int) -> Submodule:
-    """Kernel of a maximally destabilising quotient of rep.
+def _mdq_kernel(current: Submodule, subs: list[Submodule], class_phase) -> Submodule:
+    """Kernel of a maximally destabilising quotient of current.
 
-    A quotient rep ->> B is maximally destabilising when every nonzero
-    quotient B' has phase >= phase(B), with equality only if it factors
-    through B; in kernel terms: phase(rep/K) is minimal and K is
-    contained in every kernel realizing the minimum.  Both conditions
-    are verified exhaustively; failure cannot happen in a finite-length
-    module category and is therefore reported as an invariant violation.
+    The kernels of the quotients of current are the members of its
+    parent's submodule list subs that lie inside it.  A quotient
+    current ->> B is maximally destabilising when every nonzero quotient
+    B' has phase >= phase(B), with equality only if it factors through
+    B; in kernel terms: phase(current/K) is minimal and K is contained
+    in every kernel realizing the minimum.  Both conditions are verified
+    exhaustively; failure cannot happen in a finite-length module
+    category and is therefore reported as an invariant violation.
     """
-    kernels = [s for s in quivrep.enumerate_submodules(rep, cap) if not s.is_full]
-    best = None
-    for K in kernels:
-        ph = phase(quivrep.dim_sub(rep.dims, K.dims), Z)
-        if best is None or ph.cmp(best) < 0:
-            best = ph
-    tied = [K for K in kernels if phase(quivrep.dim_sub(rep.dims, K.dims), Z).cmp(best) == 0]
+    kernels = [(class_phase(quivrep.dim_sub(current.dims, K.dims)), K)
+               for K in subs if K.total_dim < current.total_dim and current.contains(K)]
+    best = min(ph for ph, _ in kernels)
+    tied = [K for ph, K in kernels if ph == best]
     K = min(tied, key=lambda s: s.sort_key())
     for other in tied:
         if not other.contains(K):
@@ -295,31 +289,23 @@ def hn_filtration_mdq(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAU
                       validate: bool = True) -> HNFiltration:
     """Filtration by repeatedly peeling a maximally destabilising quotient.
 
-    Peel rep ->> B with kernel K, replace rep by K, repeat; reversing the
-    discovered factors yields the ascending chain.  Must agree exactly
-    with :func:`hn_filtration_max_sub`.
+    The submodules of rep are enumerated once.  Starting from rep, peel
+    the current step ->> B with kernel K (see :func:`_mdq_kernel`) and
+    continue with K until it is zero; reversing the discovered chain
+    yields the ascending one.  Must agree exactly with
+    :func:`hn_filtration_max_sub`.
     """
     if rep.is_zero:
         raise ZeroObjectError("the zero representation has no filtration")
+    subs = quivrep.enumerate_submodules(rep, cap)
+    class_phase = functools.cache(lambda beta: phase(beta, Z))
     chain_desc = [quivrep.full_submodule(rep)]
-    factors_rev: list[QuiverRep] = []
     phases_rev: list[PhaseKey] = []
-    current = chain_desc[0]
-    current_rep = rep
-    while not current.is_zero:
-        K = _mdq_kernel(current_rep, Z, cap)
-        B = quivrep.quotient(current_rep, K)
-        factors_rev.append(B)
-        phases_rev.append(phase(B.dims, Z))
-        current = quivrep.compose_submodule(rep, current, K)
-        chain_desc.append(current)
-        current_rep = quivrep.sub_rep(rep, current)
-    filt = HNFiltration(
-        rep,
-        tuple(reversed(chain_desc)),
-        tuple(reversed(factors_rev)),
-        tuple(reversed(phases_rev)),
-    )
+    while not chain_desc[-1].is_zero:
+        K = _mdq_kernel(chain_desc[-1], subs, class_phase)
+        phases_rev.append(class_phase(quivrep.dim_sub(chain_desc[-1].dims, K.dims)))
+        chain_desc.append(K)
+    filt = _filtration(rep, chain_desc[::-1], phases_rev[::-1])
     if validate:
         _check_factors_semistable(filt, Z, cap)
     return filt

@@ -10,13 +10,15 @@ from stabkit.quivrep import (
     Quiver,
     all_ses,
     dim_add,
+    dim_sub,
     direct_sum,
     enumerate_submodules,
     euler_form,
     ext1_dim,
+    full_submodule,
     hom_dim,
-    quotient,
     simple_rep,
+    subquotient,
     zero_rep,
 )
 
@@ -46,12 +48,12 @@ def test_zero_and_simple_submodules():
 def test_quotient_examples(a2_reps):
     P = a2_reps["P"]
     sub_s2 = [s for s in enumerate_submodules(P) if s.dims == (0, 1)][0]
-    q = quotient(P, sub_s2)
+    q = subquotient(P, sub_s2, full_submodule(P))
     assert q.dims == (1, 0)
     zero = [s for s in enumerate_submodules(P) if s.is_zero][0]
-    assert quotient(P, zero) == P
+    assert subquotient(P, zero, full_submodule(P)) == P
     full = [s for s in enumerate_submodules(P) if s.is_full][0]
-    assert quotient(P, full).is_zero
+    assert subquotient(P, full, full_submodule(P)).is_zero
 
 
 def test_hom_dim_examples(a2_reps):
@@ -136,6 +138,24 @@ def test_lattice_sanity_on_instances():
             from stabkit.quivrep import Submodule
 
             Submodule(r, s.rows, s.pivots)  # raises if not invariant
+
+
+def test_subquotient_lattice_correspondence():
+    # the submodules of B/A are the lattice members between A and B; the
+    # span-closure oracle counts them on the row-reduced subquotient
+    pairs = 0
+    for _, r, _Z in instance_stream(seed=14, count=12, max_total=4, max_per_vertex=2):
+        subs = enumerate_submodules(r)
+        for A in subs:
+            for B in subs:
+                if not B.contains(A):
+                    continue
+                sq = subquotient(r, A, B)
+                assert sq.dims == dim_sub(B.dims, A.dims)
+                between = sum(1 for C in subs if C.contains(A) and B.contains(C))
+                assert len(submodule_sets_bruteforce(sq)) == between
+                pairs += 1
+    assert pairs > 100
 
 
 def test_hom_self_positive():

@@ -202,12 +202,12 @@ def test_cli_json_byte_determinism(fixture_path):
     assert run_cli(*args) == run_cli(*args)
 
 
-def _malformed_fixture_exit(fixture_path, tmp_path, mutate):
+def _malformed_fixture_exit(fixture_path, tmp_path, mutate, command=("semistable", "P", "Zstd")):
     doc = json.loads(fixture_path.read_text())
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, text = run_cli("--input", str(bad), "semistable", "P", "Zstd")
+    code, text = run_cli("--input", str(bad), *command)
     payload = json.loads(text)
     assert payload["ok"] is False and payload["error"] == "SchemaError"
     return code, payload["message"]
@@ -239,3 +239,34 @@ def test_cli_boolean_dims_exit_2(fixture_path, tmp_path):
         fixture_path, tmp_path, lambda doc: doc["reps"].update(B={"dims": [True, True], "maps": {}}))
     assert code == 2
     assert message.startswith("at /reps/B/dims/0:")
+
+
+def test_cli_string_in_path_pairs_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["paths"]["path1"].update(pairs=[[["0", "1"], [1, 1]]]),
+        ("walls", "path1"))
+    assert code == 2
+    assert message.startswith("at /paths/path1/pairs/0/0/0:")
+
+
+def test_cli_boolean_in_path_pairs_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["paths"]["path1"].update(pairs=[[[True, False], [1, 1]]]),
+        ("walls", "path1"))
+    assert code == 2
+    assert message.startswith("at /paths/path1/pairs/0/0/0:")
+
+
+def test_cli_huge_d_exit_2(fixture_path, tmp_path):
+    # 10**30 + 1 would take about 10**15 trial divisions to check for square-freeness
+    code, message = _malformed_fixture_exit(fixture_path, tmp_path, lambda doc: doc.update(D=10**30 + 1))
+    assert code == 2
+    assert message.startswith("at /D:")
+    from stabkit.session import MAX_D, parse_charge_document
+
+    largest_prime_below_bound = 999999999989
+    assert largest_prime_below_bound < MAX_D
+    doc = {"quiver": {"vertices": 1}, "field": "F2", "D": largest_prime_below_bound}
+    assert parse_session(json.dumps(doc)).quad_d == largest_prime_below_bound
+    with pytest.raises(SchemaError, match="at /charge/D"):
+        parse_charge_document(json.dumps({"charge": {"z": [{"re": "0", "im": "1"}], "D": MAX_D + 1}}))

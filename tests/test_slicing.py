@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stabkit.exactnum import PhaseKey
-from stabkit.quivrep import all_ses, sub_rep
+from stabkit.quivrep import all_ses, subquotient, zero_submodule
 from stabkit.slicing import (
     FormalComplex,
     PhaseInterval,
@@ -155,7 +155,7 @@ def test_sub_quotient_phase_bounds_on_instances():
         S = plain_handle(r.quiver, r.field, Z)
         he = phi_bounds(fc0(r), S)
         for sub, quot in all_ses(r):
-            ha = phi_bounds(fc0(sub_rep(r, sub)), S)
+            ha = phi_bounds(fc0(subquotient(r, zero_submodule(r), sub)), S)
             hb = phi_bounds(fc0(quot), S)
             assert ha[1].cmp(he[1]) <= 0
             assert he[0].cmp(hb[0]) <= 0

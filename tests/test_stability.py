@@ -16,7 +16,7 @@ from stabkit.stability import (
     phase,
 )
 
-from support import A2, F2, Q, charge, ec, instance_stream, rep
+from support import A2, A3, F2, F3, Q, charge, ec, instance_stream, rep
 
 
 def test_phase_examples(z_std):
@@ -67,6 +67,29 @@ def test_hn_direct_sum_example(a2_reps, z_flip):
     filt = hn_filtration_max_sub(a2_reps["SS"], z_flip)
     assert [f.dims for f in filt.factors] == [(0, 1), (1, 0)]
     assert filt.same_chain(hn_filtration_mdq(a2_reps["SS"], z_flip))
+
+
+def test_one_enumeration_per_route(monkeypatch):
+    # every step is a query over the lattice of the whole representation
+    from stabkit import quivrep
+
+    real = quivrep.enumerate_submodules
+    calls = []
+
+    def counting(r, cap=quivrep.DEFAULT_CAP):
+        calls.append(r.dims)
+        return real(r, cap)
+
+    monkeypatch.setattr(quivrep, "enumerate_submodules", counting)
+    r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]]})
+    Z = charge((1, 1), (0, 1), (-1, 1))
+    filts = []
+    for algo in (hn_filtration_max_sub, hn_filtration_mdq):
+        calls.clear()
+        filts.append(algo(r, Z, validate=False))
+        assert calls == [r.dims]
+    assert filts[0].length >= 3
+    assert filts[0].same_chain(filts[1])
 
 
 def test_hn_zero_rep_rejected(z_std):
