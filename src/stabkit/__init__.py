@@ -46,13 +46,11 @@ from .stabspace import (
     GLtildeElement,
     StabilityConditionHandle,
     WallEvent,
-    compose,
     deform,
     find_walls,
     gl_act,
     invert,
     norm_sigma,
-    plain_handle,
     stab_distance,
     validate_axioms,
 )

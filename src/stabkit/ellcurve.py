@@ -111,13 +111,6 @@ def _gamma_t(n: int):
     return ((1, n), (0, 1))
 
 
-def _gamma_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
 def modular_reduce(g: GLtildeElement) -> ModularReduction:
     """Reduce the upper-half-plane point of g's matrix into the standard
     fundamental domain |re| <= 1/2, |tau| >= 1.
@@ -142,12 +135,12 @@ def modular_reduce(g: GLtildeElement) -> ModularReduction:
         n = math.floor(tau.re + Fraction(1, 2))
         if n != 0:
             tau = ExactComplex(tau.re - n, tau.im)
-            gamma = _gamma_mul(_gamma_t(-n), gamma)
+            gamma = mat2_mul(_gamma_t(-n), gamma)
             word.append(f"T^{-n}")
         if tau.abs_squared() < 1:
             m2 = tau.abs_squared()
             tau = ExactComplex(-tau.re / m2, tau.im / m2)
-            gamma = _gamma_mul(_GAMMA_S, gamma)
+            gamma = mat2_mul(_GAMMA_S, gamma)
             word.append("S")
         else:
             break

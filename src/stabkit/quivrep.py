@@ -242,6 +242,9 @@ class Submodule:
         return self.dims == self.parent.dims
 
     def contains(self, other: "Submodule") -> bool:
+        for o, r in zip(other.rows, self.rows):
+            if len(o) > len(r):
+                return False  # echelon rows are independent
         F = self.parent.field
         for v in range(self.parent.quiver.n):
             for row in other.rows[v]:

@@ -175,6 +175,22 @@ def _parse_scalar(raw, pointer: str, quad_d: int | None):
     raise SchemaError(pointer, f"bad scalar {raw!r}")
 
 
+def _parse_charge(zraw: list, pointer: str, quad_d: int | None) -> CentralCharge:
+    """The charge whose values are the list zraw at pointer + "/z"."""
+    values = []
+    for i, zv in enumerate(zraw):
+        zptr = f"{pointer}/z/{i}"
+        _expect(zv, dict, zptr, "an object with re and im")
+        values.append(ExactComplex(
+            _parse_scalar(zv.get("re", 0), zptr + "/re", quad_d),
+            _parse_scalar(zv.get("im", 0), zptr + "/im", quad_d),
+        ))
+    try:
+        return CentralCharge(tuple(values))
+    except Exception as exc:
+        raise SchemaError(pointer, str(exc)) from None
+
+
 def parse_session(text: str) -> SessionDocument:
     """Parse and fully validate a session document."""
     try:
@@ -235,17 +251,7 @@ def parse_session(text: str) -> SessionDocument:
         zraw = _expect(craw.get("z"), list, ptr + "/z", "a list of complex values")
         if len(zraw) != quiver.n:
             raise SchemaError(ptr + "/z", f"expected {quiver.n} values, got {len(zraw)}")
-        values = []
-        for i, zv in enumerate(zraw):
-            zptr = ptr + f"/z/{i}"
-            _expect(zv, dict, zptr, "an object with re and im")
-            re = _parse_scalar(zv.get("re", 0), zptr + "/re", quad_d)
-            im = _parse_scalar(zv.get("im", 0), zptr + "/im", quad_d)
-            values.append(ExactComplex(re, im))
-        try:
-            charges[name] = CentralCharge(tuple(values))
-        except Exception as exc:
-            raise SchemaError(ptr, str(exc)) from None
+        charges[name] = _parse_charge(zraw, ptr, quad_d)
 
     complexes: dict[str, FormalComplex] = {}
     for name, fraw in sorted(_expect(doc.get("complexes", {}), dict, "/complexes", "an object").items()):
@@ -329,18 +335,7 @@ def parse_charge_document(text: str) -> CentralCharge:
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     body = _expect(_expect(doc, dict, "/", "a JSON object").get("charge"), dict, "/charge", "an object")
     quad_d = _parse_d(body, "/charge/D")
-    values = []
-    for i, zv in enumerate(_expect(body.get("z"), list, "/charge/z", "a list")):
-        zptr = f"/charge/z/{i}"
-        _expect(zv, dict, zptr, "an object with re and im")
-        values.append(ExactComplex(
-            _parse_scalar(zv.get("re", 0), zptr + "/re", quad_d),
-            _parse_scalar(zv.get("im", 0), zptr + "/im", quad_d),
-        ))
-    try:
-        return CentralCharge(tuple(values))
-    except Exception as exc:
-        raise SchemaError("/charge", str(exc)) from None
+    return _parse_charge(_expect(body.get("z"), list, "/charge/z", "a list"), "/charge", quad_d)
 
 
 def fmt_exact_complex(z: ExactComplex) -> dict:

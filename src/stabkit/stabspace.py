@@ -11,6 +11,7 @@ from its phase window.  Deck transformations are exactly m -> m + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,7 +144,8 @@ class GLtildeElement:
 
 
 def mul_sequential(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:
-    """The element acting as 'g1 first, then g2' (right-action product).
+    """The element acting as 'g1 first, then g2' (right-action product),
+    the package's one group product; :func:`invert` is its inverse.
 
     The matrix part is T1 * T2.  The branch is read off exactly by
     pushing the reference value through both relabelings: the window
@@ -162,20 +164,12 @@ def mul_sequential(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:
     return GLtildeElement(mat2_mul(g1.T, g2.T), g1.m + g2.m + s1 + wrap)
 
 
-def compose(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:
-    """Group product with the convention act(act(s, g2), g1) = act(s, compose(g1, g2))."""
-    return mul_sequential(g2, g1)
-
-
 def invert(g: GLtildeElement) -> GLtildeElement:
-    u1 = g.reference_direction()
-    s1 = -1 if sign_of(u1.re) > 0 else 0
-    t_forward = g.T
-    u2 = mat2_apply(t_forward, EC_I)
-    delta = ccw_displacement(u2, EC_I)
-    delta_star = ccw_displacement(u2, -EC_I)
-    wrap = 1 if delta.cmp(delta_star) > 0 else 0
-    return GLtildeElement(mat2_inv(g.T), -g.m - s1 - wrap)
+    """The inverse for :func:`mul_sequential`: a product's branch
+    corrections depend on the matrices alone, so g times the branch-0
+    inverse matrix carries exactly the branch the inverse must cancel."""
+    h = GLtildeElement(mat2_inv(g.T), 0)
+    return GLtildeElement(h.T, -mul_sequential(g, h).m)
 
 
 @dataclass(frozen=True)
@@ -212,10 +206,6 @@ class StabilityConditionHandle:
     def semistable_phase(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> PhaseKey | None:
         factors = slicing.hn_decompose(fc, self, cap)
         return factors[0].key if len(factors) == 1 else None
-
-
-def plain_handle(quiver: Quiver, field: Field, Z: CentralCharge) -> StabilityConditionHandle:
-    return StabilityConditionHandle(quiver, field, Z)
 
 
 def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
@@ -431,7 +421,7 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
         raise ZeroObjectError("stability-space distance needs a nonempty testset")
     if s1.quiver != s2.quiver or s1.field != s2.field:
         raise StabkitError("stability conditions live over different hearts")
-    plain1, plain2 = (plain_handle(s.quiver, s.field, s.charge) for s in (s1, s2))
+    plain1, plain2 = (StabilityConditionHandle(s.quiver, s.field, s.charge) for s in (s1, s2))
     rows = []
     for i, fc in enumerate(testset):
         f1 = slicing.hn_decompose(fc, plain1, cap)
@@ -518,14 +508,8 @@ def solve_alignment(q0: Fraction, q1: Fraction, q2: Fraction) -> list[RootValue]
 def cmp_roots(x: RootValue, y: RootValue) -> int:
     """Exact comparison of alignment parameters, possibly in different
     quadratic extensions (distinct irrationals are never equal)."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return (x > y) - (x < y)
-    if isinstance(x, QuadScalar) and isinstance(y, QuadScalar) and x.d == y.d:
-        return (x - y).sign()
-    if isinstance(x, QuadScalar) and isinstance(y, Fraction):
-        return (x - y).sign()
-    if isinstance(y, QuadScalar) and isinstance(x, Fraction):
-        return -(y - x).sign()
+    if not (isinstance(x, QuadScalar) and isinstance(y, QuadScalar) and x.d != y.d):
+        return sign_of(x - y)
     bits = 60
     while True:
         xl, xh = root_bounds(x, bits)
@@ -581,24 +565,13 @@ def find_walls(path: ChargePath, pairs: list[tuple[DimVector, DimVector]]) -> Wa
             degenerate.append((alpha, beta))
             continue
         for r in roots:
-            lo = sign_of(r) if isinstance(r, QuadScalar) else (r > 0) - (r < 0)
-            hi = sign_of(r - 1) if isinstance(r, QuadScalar) else (r - 1 > 0) - (r - 1 < 0)
-            if lo >= 0 and hi <= 0:
+            if sign_of(r) >= 0 and sign_of(r - 1) <= 0:
                 events.append(WallEvent(r, alpha, beta))
-    events.sort(key=_event_sort_key(events))
+    events.sort(key=functools.cmp_to_key(
+        lambda e, f: cmp_roots(e.t_exact, f.t_exact)
+        or ((e.alpha, e.beta) > (f.alpha, f.beta)) - ((e.alpha, e.beta) < (f.alpha, f.beta))
+    ))
     return WallsReport(tuple(events), tuple(degenerate))
-
-
-def _event_sort_key(events):
-    import functools
-
-    def cmp(e1, e2):
-        c = cmp_roots(e1.t_exact, e2.t_exact)
-        if c:
-            return c
-        return -1 if (e1.alpha, e1.beta) < (e2.alpha, e2.beta) else (0 if (e1.alpha, e1.beta) == (e2.alpha, e2.beta) else 1)
-
-    return functools.cmp_to_key(cmp)
 
 
 def chamber_samples(events: tuple[WallEvent, ...]) -> list[Fraction]:

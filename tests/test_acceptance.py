@@ -32,14 +32,14 @@ from stabkit.stability import (
 from stabkit.stabspace import (
     ChargePath,
     GLtildeElement,
+    StabilityConditionHandle,
     chamber_samples,
-    compose,
     deform,
     find_walls,
     gl_act,
     mat2,
     mat2_det,
-    plain_handle,
+    mul_sequential,
     stab_distance,
 )
 
@@ -217,7 +217,7 @@ def test_c6_deformation_shadow(a2_reps):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     total = 0
     for Z, labels in fixtures:
-        sigma = plain_handle(A2, F2, Z)
+        sigma = StabilityConditionHandle(A2, F2, Z)
         for eps in (Fraction(1, 20), Fraction(1, 10)):
             rng = random.Random(1006 + int(eps * 1000))
             done = 0
@@ -253,7 +253,7 @@ def _random_element(rng):
 
 def test_c7_plane_action_laws(a2_reps, z_std):
     rng = random.Random(1007)
-    sigma = plain_handle(A2, F2, z_std)
+    sigma = StabilityConditionHandle(A2, F2, z_std)
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     reps = ("S1", "S2", "P", "SS")
     pairs_done = 0
@@ -266,7 +266,7 @@ def test_c7_plane_action_laws(a2_reps, z_std):
         if not mid.heart_compatible:
             continue
         seq, rel_seq = gl_act(mid, g1, testset)
-        cmp_handle, rel_cmp = gl_act(sigma, compose(g1, g2), testset)
+        cmp_handle, rel_cmp = gl_act(sigma, mul_sequential(g2, g1), testset)
         assert seq.charge2d() == cmp_handle.charge2d()
         assert seq.g.T == cmp_handle.g.T and seq.g.m == cmp_handle.g.m
         for (f1, k1), (f2, k2) in zip(rel_seq, rel_cmp):
@@ -288,7 +288,7 @@ def test_c7_plane_action_laws(a2_reps, z_std):
 
 
 def test_c8_metric_fixtures(a2_reps, z_std):
-    s1 = plain_handle(A2, F2, z_std)
+    s1 = StabilityConditionHandle(A2, F2, z_std)
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     s2, _ = gl_act(s1, GLtildeElement(mat2(2, 0, 0, 2), 0))
     d = stab_distance(s1, s2, testset)

@@ -1,5 +1,5 @@
 """Every public top-level function, class and constant of the package
-must be used somewhere.
+must be used somewhere, and no public function may be a bare alias.
 
 A name counts as used when the syntax tree of a module under
 ``src/stabkit`` or of a file under ``tests/`` loads it, as a plain name
@@ -7,6 +7,10 @@ or as an attribute, f-strings and annotations included.  Definitions,
 imports, strings and comments are not uses, and the package
 ``__init__`` only re-exports, so it does not count.  A name nothing uses
 is a dead export: delete it rather than keep it.
+
+An alias wrapper is a public top-level function whose body, after an
+optional docstring, is one ``return f(...)`` passing exactly its own
+parameters, in any order.  Call ``f`` instead.
 """
 
 import ast
@@ -56,3 +60,28 @@ def test_every_public_name_is_used():
     seen = loaded_names()
     dead = [f"{path.stem}.{name}" for path, name in public_definitions() if name not in seen]
     assert dead == []
+
+
+def alias_wrappers():
+    """module.name of each public top-level function that only forwards
+    its own parameters to another callable."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            body = node.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+                continue
+            call = body[0].value
+            passed = list(call.args) + [k.value for k in call.keywords]
+            params = [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+            if all(isinstance(a, ast.Name) for a in passed) and sorted(a.id for a in passed) == sorted(params):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_alias_wrappers():
+    assert alias_wrappers() == []

@@ -20,6 +20,7 @@ from stabkit.quivrep import (
     simple_rep,
     subquotient,
     zero_rep,
+    zero_submodule,
 )
 
 from support import A2, A3, F2, F3, KRONECKER, Q, instance_stream, rep, submodule_as_sets, submodule_sets_bruteforce
@@ -178,3 +179,21 @@ def test_direct_sum_shapes(a2_reps):
     s = direct_sum(a2_reps["P"], a2_reps["S2"])
     assert s.dims == (1, 2)
     assert hom_dim(s, s) >= 2
+
+
+def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
+    from stabkit import linalg
+
+    P = a2_reps["P"]
+    zero, full = zero_submodule(P), full_submodule(P)
+    (s2,) = [s for s in enumerate_submodules(P) if s.dims == (0, 1)]
+
+    def no_span_test(*args):
+        raise AssertionError("in_span called")
+
+    monkeypatch.setattr(linalg, "in_span", no_span_test)
+    assert not s2.contains(full)
+    assert not zero.contains(s2)
+    assert not zero.contains(full)
+    with pytest.raises(AssertionError, match="in_span called"):
+        full.contains(s2)

@@ -87,6 +87,24 @@ def test_cli_hn_matches_module(fixture_path):
     assert factors[0]["phase"]["dir_re"] == "-1"
 
 
+def test_cli_hn_checks_each_factor_once(fixture_path, monkeypatch):
+    # one enumeration per route plus one semistability check per factor
+    from stabkit import quivrep
+
+    real = quivrep.enumerate_submodules
+    calls = []
+
+    def counting(r, cap=quivrep.DEFAULT_CAP):
+        calls.append(r.dims)
+        return real(r, cap)
+
+    monkeypatch.setattr(quivrep, "enumerate_submodules", counting)
+    code, text = run_cli("--input", str(fixture_path), "hn", "SS", "Zflip")
+    assert code == 0
+    assert [f["dims"] for f in json.loads(text)["result"]["factors"]] == [[0, 1], [1, 0]]
+    assert calls == [(1, 1), (0, 1), (1, 0), (1, 1)]
+
+
 def test_cli_semistable(fixture_path):
     code, text = run_cli("--input", str(fixture_path), "semistable", "P", "Zstd")
     assert code == 0

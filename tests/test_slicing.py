@@ -15,7 +15,7 @@ from stabkit.slicing import (
     slicing_distance,
 )
 from stabkit.stability import phase
-from stabkit.stabspace import plain_handle
+from stabkit.stabspace import StabilityConditionHandle
 from stabkit.errors import ZeroObjectError
 
 from support import A2, F2, ec, charge, instance_stream, random_charge
@@ -26,7 +26,7 @@ def fc0(rep):
 
 
 def handle(Z):
-    return plain_handle(A2, F2, Z)
+    return StabilityConditionHandle(A2, F2, Z)
 
 
 def test_decompose_single_semistable(a2_reps, z_std):
@@ -152,7 +152,7 @@ def test_shifted_sum_phase_bound_lemma(a2_reps, z_flip):
 def test_sub_quotient_phase_bounds_on_instances():
     # non-split sequences embedded in degree zero
     for _, r, Z in instance_stream(seed=55, count=20, max_total=5, max_per_vertex=3):
-        S = plain_handle(r.quiver, r.field, Z)
+        S = StabilityConditionHandle(r.quiver, r.field, Z)
         he = phi_bounds(fc0(r), S)
         for sub, quot in all_ses(r):
             ha = phi_bounds(fc0(subquotient(r, zero_submodule(r), sub)), S)

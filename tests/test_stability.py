@@ -5,9 +5,11 @@ import pytest
 
 from stabkit.errors import InvariantViolation, UnsupportedVerdictError, ZeroClassError, ZeroObjectError
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
-from stabkit.quivrep import all_ses, dim_sub, direct_sum, zero_rep
+from stabkit.quivrep import DEFAULT_CAP, all_ses, dim_sub, direct_sum, full_submodule, zero_rep, zero_submodule
 from stabkit.stability import (
     CentralCharge,
+    HNFiltration,
+    _check_factors_semistable,
     check_discreteness,
     hn_filtration_max_sub,
     hn_filtration_mdq,
@@ -90,6 +92,15 @@ def test_one_enumeration_per_route(monkeypatch):
         assert calls == [r.dims]
     assert filts[0].length >= 3
     assert filts[0].same_chain(filts[1])
+
+
+def test_factor_check_rejects_unstable_factor(a2_reps, z_flip):
+    # 0 < P is a chain with one factor, P itself, which S2 destabilises
+    P = a2_reps["P"]
+    filt = HNFiltration(P, (zero_submodule(P), full_submodule(P)), (P,), (phase(P.dims, z_flip),))
+    assert not is_semistable(P, z_flip).is_semistable
+    with pytest.raises(InvariantViolation, match="^a filtration factor is not semistable$"):
+        _check_factors_semistable(filt, z_flip, DEFAULT_CAP)
 
 
 def test_hn_zero_rep_rejected(z_std):

@@ -18,9 +18,9 @@ from stabkit.stability import CentralCharge, is_semistable
 from stabkit.stabspace import (
     ChargePath,
     GLtildeElement,
+    StabilityConditionHandle,
     chamber_samples,
     charge_matches_key,
-    compose,
     deform,
     find_walls,
     gl_act,
@@ -29,7 +29,6 @@ from stabkit.stabspace import (
     mat2_det,
     mul_sequential,
     norm_sigma,
-    plain_handle,
     sin_pi_eps_bounds,
     solve_alignment,
     stab_distance,
@@ -44,7 +43,7 @@ def fc0(r):
 
 
 def handle(Z):
-    return plain_handle(A2, F2, Z)
+    return StabilityConditionHandle(A2, F2, Z)
 
 
 def random_element(rng, max_n=6):
@@ -95,32 +94,35 @@ def test_rotation_twice_equals_composition(a2_reps, z_std):
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     once, _ = gl_act(sigma, rot, testset)
     twice, rel_seq = gl_act(once, rot, testset)
-    combined, rel_comp = gl_act(sigma, compose(rot, rot), testset)
+    combined, rel_comp = gl_act(sigma, mul_sequential(rot, rot), testset)
     assert twice.charge2d() == combined.charge2d()
     assert twice.g.T == combined.g.T and twice.g.m == combined.g.m
     for (f1, k1), (f2, k2) in zip(rel_seq, rel_comp):
         assert k1 == k2
 
 
-def test_compose_examples():
+def test_product_examples():
     g = GLtildeElement(mat2(3, 1, 0, 2), 1)
     ident = GLtildeElement.identity()
-    assert compose(ident, g) == g
-    assert compose(g, ident) == g
-    ss = compose(GLtildeElement.shift(), GLtildeElement.shift())
+    assert mul_sequential(g, ident) == g
+    assert mul_sequential(ident, g) == g
+    ss = mul_sequential(GLtildeElement.shift(), GLtildeElement.shift())
     assert ss.T == mat2(1, 0, 0, 1) and ss.m == 1
     rot = GLtildeElement(mat2(0, -1, 1, 0), 0)
     assert mul_sequential(rot, invert(rot)).is_identity
     assert mul_sequential(invert(rot), rot).is_identity
 
 
-def test_compose_associative_random():
+def test_product_associative_and_invertible_random():
     rng = random.Random(501)
     for _ in range(60):
         g1, g2, g3 = (random_element(rng) for _ in range(3))
-        a = compose(g1, compose(g2, g3))
-        b = compose(compose(g1, g2), g3)
+        a = mul_sequential(mul_sequential(g3, g2), g1)
+        b = mul_sequential(g3, mul_sequential(g2, g1))
         assert a.T == b.T and a.m == b.m
+        for g in (g1, g2, g3):
+            assert mul_sequential(g, invert(g)).is_identity
+            assert mul_sequential(invert(g), g).is_identity
 
 
 def test_action_composition_compatibility_random(a2_reps, z_std):
@@ -130,7 +132,7 @@ def test_action_composition_compatibility_random(a2_reps, z_std):
     for _ in range(40):
         g1, g2 = random_element(rng), random_element(rng)
         s_seq, rel_seq = gl_act(*gl_act(sigma, g2, testset)[:1], g1, testset)
-        s_cmp, rel_cmp = gl_act(sigma, compose(g1, g2), testset)
+        s_cmp, rel_cmp = gl_act(sigma, mul_sequential(g2, g1), testset)
         assert s_seq.charge2d() == s_cmp.charge2d()
         assert s_seq.g.T == s_cmp.g.T and s_seq.g.m == s_cmp.g.m
         for (f1, k1), (f2, k2) in zip(rel_seq, rel_cmp):
@@ -211,7 +213,7 @@ def test_deform_across_wall(a2_reps):
     # P changes while every phase drift stays below eps
     z = charge((Fraction(-1, 10), 1), (0, 1))
     w = charge((Fraction(1, 10), 1), (0, 1))
-    sigma = plain_handle(A2, F2, z)
+    sigma = StabilityConditionHandle(A2, F2, z)
     testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
     assert is_semistable(a2_reps["P"], z).is_semistable
     assert not is_semistable(a2_reps["P"], w).is_semistable
