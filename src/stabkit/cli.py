@@ -317,15 +317,13 @@ def cmd_validate(doc: SessionDocument, args) -> dict:
 
 
 def cmd_curve(args) -> dict:
-    M = _parse_matrix(args.matrix)
+    g = ellcurve.classify(ellcurve.NumericalCharge(_parse_matrix(args.matrix)))
     if args.which == "classify":
-        g = ellcurve.classify(ellcurve.NumericalCharge(M))
         return {
             "T": [[str(x) for x in row] for row in g.T],
             "m": g.m,
             "csv_rows": [("T", "m"), (";".join(str(x) for row in g.T for x in row), g.m)],
         }
-    g = ellcurve.classify(ellcurve.NumericalCharge(M))
     red = ellcurve.modular_reduce(g)
     tau_re, tau_im = red.tau_float
     return {

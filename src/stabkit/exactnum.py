@@ -18,16 +18,37 @@ from functools import lru_cache
 from .errors import UnsupportedScalarError
 
 
+# Largest trial divisor squarefree_split tries: about 5*10**5 divisions.
+SPLIT_BUDGET = 10**6
+
+
 @lru_cache(maxsize=1024)
-def _is_square_free(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
+def squarefree_split(n: int) -> tuple[int, int]:
+    """The pair (s, d) with n = s**2 * d and d square-free; n >= 1.
+
+    Trial division runs while k**3 <= the cofactor r.  Every prime left in
+    r is then above its cube root, so r is 1, a prime, a product of two
+    distinct primes or the square of a prime, and math.isqrt tells which.
+    A cofactor that still needs a divisor above SPLIT_BUDGET is refused.
+    """
+    s, d, r, k = 1, 1, n, 2
+    while k * k * k <= r:
+        if k > SPLIT_BUDGET:
+            raise UnsupportedScalarError(
+                f"cannot split {n} into a square and a square-free part: "
+                f"it needs trial divisors above {SPLIT_BUDGET}"
+            )
+        e = 0
+        while r % k == 0:
+            r //= k
+            e += 1
+        s *= k ** (e // 2)
+        d *= k ** (e % 2)
+        k += 1 if k == 2 else 2
+    q = math.isqrt(r)
+    if q * q == r:
+        return s * q, d
+    return s, d * r
 
 
 @dataclass(frozen=True)
@@ -44,7 +65,7 @@ class QuadScalar:
     d: int
 
     def __post_init__(self):
-        if self.d < 2 or not _is_square_free(self.d):
+        if self.d < 2 or squarefree_split(self.d)[0] != 1:
             raise UnsupportedScalarError(
                 f"quadratic extension requires a square-free integer >= 2, got d={self.d}"
             )

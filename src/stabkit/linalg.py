@@ -40,9 +40,6 @@ class PrimeField:
     def mul(self, x, y):
         return (x * y) % self.p
 
-    def neg(self, x):
-        return (-x) % self.p
-
     def inv(self, x):
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -84,9 +81,6 @@ class RationalField:
 
     def mul(self, x, y):
         return x * y
-
-    def neg(self, x):
-        return -x
 
     def inv(self, x):
         if x == 0:

@@ -19,7 +19,7 @@ from .stability import CentralCharge
 from .stabspace import ChargePath
 
 # Largest accepted quadratic-extension parameter D: checking that D is
-# square-free takes about sqrt(D) trial divisions.
+# square-free takes trial divisions up to the cube root of D.
 MAX_D = 10**12
 
 

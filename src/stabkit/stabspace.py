@@ -40,6 +40,7 @@ from .exactnum import (
     root_bounds,
     sign_of,
     sqrt_bounds,
+    squarefree_split,
 )
 from .linalg import Field
 from .quivrep import DimVector, Quiver
@@ -472,18 +473,6 @@ class ChargePath:
 RootValue = Fraction | QuadScalar
 
 
-def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s**2 * d with d square-free; n > 0."""
-    from sympy import factorint
-
-    s, d = 1, 1
-    for p, e in factorint(n).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return s, d
-
-
 def solve_alignment(q0: Fraction, q1: Fraction, q2: Fraction) -> list[RootValue] | None:
     """Roots of q0 + q1 t + q2 t^2; None when identically zero."""
     if q2 == 0 and q1 == 0:
@@ -496,7 +485,7 @@ def solve_alignment(q0: Fraction, q1: Fraction, q2: Fraction) -> list[RootValue]
     if disc == 0:
         return [-q1 / (2 * q2)]
     n = disc.numerator * disc.denominator
-    s, d = _squarefree_decompose(n)
+    s, d = squarefree_split(n)
     if d == 1:
         rad = Fraction(s, disc.denominator)
         return [(-q1 - rad) / (2 * q2), (-q1 + rad) / (2 * q2)]
@@ -510,17 +499,13 @@ def cmp_roots(x: RootValue, y: RootValue) -> int:
     quadratic extensions (distinct irrationals are never equal)."""
     if not (isinstance(x, QuadScalar) and isinstance(y, QuadScalar) and x.d != y.d):
         return sign_of(x - y)
-    bits = 60
-    while True:
-        xl, xh = root_bounds(x, bits)
-        yl, yh = root_bounds(y, bits)
-        if xh < yl:
-            return -1
-        if yh < xl:
-            return 1
-        bits *= 2
-        if bits > 4000:
-            raise InvariantViolation("failed to separate two wall parameters")
+    # x - y = p - e*sqrt(n) with p in Q(sqrt(x.d)); when p and e*sqrt(n)
+    # have one sign, squaring compares their sizes inside Q(sqrt(x.d))
+    p = QuadScalar(x.a - y.a, x.b, x.d)
+    sp, se = p.sign(), sign_of(y.b)
+    if sp != se:
+        return sp or -se
+    return sp * sign_of(p * p - y.b * y.b * y.d)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
-
 from stabkit.ellcurve import NumClass, charge_of_element, classify, modular_reduce, std_charge
 from stabkit.errors import HypothesisViolatedError
 from stabkit.exactnum import ExactComplex, QuadScalar, normalize_direction

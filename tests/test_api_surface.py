@@ -11,6 +11,9 @@ is a dead export: delete it rather than keep it.
 An alias wrapper is a public top-level function whose body, after an
 optional docstring, is one ``return f(...)`` passing exactly its own
 parameters, in any order.  Call ``f`` instead.
+
+A test file must load every name it imports; ``from __future__``
+imports are exempt.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "stabkit"
 MODULES = [p for p in sorted(PKG.glob("*.py")) if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def public_definitions():
@@ -40,7 +44,7 @@ def public_definitions():
 
 def loaded_names():
     """Every name the modules and the tests load."""
-    files = MODULES + [p for p in sorted((ROOT / "tests").glob("*.py")) if p.name != Path(__file__).name]
+    files = MODULES + [p for p in TESTS if p.name != Path(__file__).name]
     seen = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -85,3 +89,23 @@ def alias_wrappers():
 
 def test_no_alias_wrappers():
     assert alias_wrappers() == []
+
+
+def unused_test_imports():
+    """file:name for each name a test file imports but never loads."""
+    out = []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{path.name}:{name}" for name in bound if name not in loaded]
+    return out
+
+
+def test_every_test_import_is_used():
+    assert unused_test_imports() == []

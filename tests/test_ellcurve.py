@@ -6,7 +6,6 @@ import pytest
 
 from stabkit.ellcurve import (
     MAT_STD,
-    ModularReduction,
     NumClass,
     NumericalCharge,
     charge_of_element,

@@ -1,13 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.errors import UnsupportedScalarError
 from stabkit.exactnum import (
-    ExactComplex,
+    SPLIT_BUDGET,
     PhaseKey,
     QuadScalar,
     ccw_displacement,
@@ -17,7 +19,9 @@ from stabkit.exactnum import (
     phase_key_anchor,
     root_bounds,
     sqrt_bounds,
+    squarefree_split,
 )
+from stabkit.stabspace import solve_alignment
 
 from support import ec
 
@@ -52,6 +56,41 @@ def test_quad_requires_square_free():
         assert QuadScalar(Fraction(1), Fraction(1), 6).d == 6
     with pytest.raises(UnsupportedScalarError):
         QuadScalar(Fraction(1), Fraction(1), 1)
+
+
+def factorint_split(n):
+    """(s, d) with n = s**2 * d and d square-free, from sympy's factorization."""
+    s = d = 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+def test_squarefree_split_matches_factorint():
+    rng = random.Random(7001)
+    cases = [1, 2, 4, 8, 12, 72, 2 ** 61, 3 ** 40 * 7]
+    cases += [rng.randrange(1, 10 ** 15) for _ in range(300)]
+    # p**2 * q with p near 10**6: the cofactor left after trial division is p**2
+    cases += [sympy.prevprime(10 ** 6 - rng.randrange(10 ** 4)) ** 2 * rng.randrange(1, 10 ** 5)
+              for _ in range(40)]
+    # smooth numbers far above 10**18
+    primes = list(sympy.primerange(2, 1000))
+    for _ in range(60):
+        n = 1
+        while n < 10 ** 30:
+            n *= rng.choice(primes) ** rng.randint(1, 5)
+        cases.append(n)
+    for n in cases:
+        assert squarefree_split(n) == factorint_split(n), n
+
+
+def test_squarefree_split_refuses_beyond_the_budget():
+    p, q, r = 100000007, 100000037, 100000039
+    assert SPLIT_BUDGET ** 3 < p * q * r and all(sympy.isprime(x) for x in (p, q, r))
+    # the discriminant of t**2 - N/4 is N itself
+    with pytest.raises(UnsupportedScalarError, match="trial divisors above"):
+        solve_alignment(Fraction(-p * q * r, 4), Fraction(0), Fraction(1))
 
 
 def test_quad_inverse():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,31 @@ def test_cli_walls_fixture(fixture_path):
     assert event["flip_evidence"]["left"]["verdicts"]["P"] == "semistable"
     assert event["flip_evidence"]["right"]["t"] == "3/4"
     assert event["flip_evidence"]["right"]["verdicts"]["P"] == "unstable"
+
+
+NO_SYMPY_WALLS = """
+import json, sys
+from stabkit import cli
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    names = json.load(fh)["paths"]
+discs = set()
+for name in names:
+    code, text = cli.run(["--input", path, "walls", name])
+    assert code == 0, text
+    discs |= {e["t_exact"]["disc"] for e in json.loads(text)["result"]["events"]} - {None}
+print(sorted(discs), "sympy" in sys.modules)
+"""
+
+
+def test_cli_walls_imports_no_sympy():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NO_SYMPY_WALLS, str(root / "fixtures" / "a3_sqrt2_session.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    # walls in two quadratic extensions, ordered and split without sympy
+    assert out.stdout.split() == ["[409,", "561]", "False"]
 
 
 def test_cli_walls_auto_pairs(fixture_path):

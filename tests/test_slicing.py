@@ -14,7 +14,6 @@ from stabkit.slicing import (
     phi_bounds,
     slicing_distance,
 )
-from stabkit.stability import phase
 from stabkit.stabspace import StabilityConditionHandle
 from stabkit.errors import ZeroObjectError
 

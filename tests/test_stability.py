@@ -5,7 +5,7 @@ import pytest
 
 from stabkit.errors import InvariantViolation, UnsupportedVerdictError, ZeroClassError, ZeroObjectError
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
-from stabkit.quivrep import DEFAULT_CAP, all_ses, dim_sub, direct_sum, full_submodule, zero_rep, zero_submodule
+from stabkit.quivrep import DEFAULT_CAP, all_ses, direct_sum, full_submodule, zero_rep, zero_submodule
 from stabkit.stability import (
     CentralCharge,
     HNFiltration,

@@ -7,12 +7,11 @@ import pytest
 from stabkit.errors import (
     HeartChangeUnsupportedError,
     HypothesisViolatedError,
-    InvariantViolation,
     OrientationError,
     ProportionalPairError,
     StabkitError,
 )
-from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
+from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar, root_bounds
 from stabkit.slicing import FormalComplex, containment_check, hn_decompose, slicing_distance
 from stabkit.stability import CentralCharge, is_semistable
 from stabkit.stabspace import (
@@ -21,6 +20,7 @@ from stabkit.stabspace import (
     StabilityConditionHandle,
     chamber_samples,
     charge_matches_key,
+    cmp_roots,
     deform,
     find_walls,
     gl_act,
@@ -35,7 +35,7 @@ from stabkit.stabspace import (
     validate_axioms,
 )
 
-from support import A2, F2, charge, ec, random_charge, rep
+from support import A2, F2, charge, ec, random_charge
 
 
 def fc0(r):
@@ -354,6 +354,37 @@ def test_solve_alignment_cases():
     assert solve_alignment(Fraction(-1), Fraction(2), Fraction(0)) == [Fraction(1, 2)]
     roots = solve_alignment(Fraction(-1), Fraction(0), Fraction(2))
     assert len(roots) == 2 and all(isinstance(r, QuadScalar) for r in roots)
+
+
+def nonzero_fraction(rng, top):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, top))
+
+
+def test_cmp_roots_across_extensions_matches_enclosures():
+    rng = random.Random(7002)
+    square_free = [d for d in range(2, 600) if all(d % (k * k) for k in range(2, 25))]
+    near = 0
+    for i in range(600):
+        m, n = rng.sample(square_free, 2)
+        x = QuadScalar(Fraction(rng.randint(-40, 40), rng.randint(1, 40)), nonzero_fraction(rng, 40), m)
+        e = nonzero_fraction(rng, 40)
+        if i % 2:
+            c = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+        else:
+            # c = x - e*sqrt(n) rounded to a multiple of 2**-k, so |x - y| is about 2**-k
+            k = rng.randint(10, 200)
+            approx = root_bounds(x, k + 20)[0] - root_bounds(QuadScalar(0, e, n), k + 20)[0]
+            c = Fraction(round(approx * 2 ** k), 2 ** k)
+        y = QuadScalar(c, e, n)
+        if i % 10 == 1:
+            x = QuadScalar(c, 0, m)  # rational x with the same rational part as y
+        (xl, xh), (yl, yh) = root_bounds(x, 2000), root_bounds(y, 2000)
+        assert xh < yl or yh < xl
+        near += abs(xl - yl) < Fraction(1, 2 ** 20)
+        want = -1 if xh < yl else 1
+        assert cmp_roots(x, y) == want
+        assert cmp_roots(y, x) == -cmp_roots(x, y) != 0
+    assert near >= 250
 
 
 def test_path_requires_rational_charges():
