@@ -115,17 +115,16 @@ def field_by_name(name: str) -> Field:
     return FIELDS[name]
 
 
-def _dotrow(F, row, B, j):
-    acc = F.zero
-    for t, x in enumerate(row):
-        if x != F.zero:
-            acc = F.add(acc, F.mul(x, B[t][j]))
-    return acc
-
-
 def mat_vec(F: Field, A, v):
     """A @ v for a column vector given as a flat tuple."""
-    return tuple(_dotrow(F, row, tuple((x,) for x in v), 0) for row in A)
+    out = []
+    for row in A:
+        acc = F.zero
+        for x, y in zip(row, v):
+            if x != F.zero:
+                acc = F.add(acc, F.mul(x, y))
+        out.append(acc)
+    return tuple(out)
 
 
 def identity_matrix(F: Field, n: int):

@@ -9,7 +9,8 @@ total-dimension cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import InitVar, dataclass, field as dc_field
 
 from . import linalg
 from .errors import (
@@ -208,30 +209,29 @@ def _require_compatible(M: QuiverRep, N: QuiverRep):
         raise FieldMismatchError(f"representations live over different fields {M.field} and {N.field}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Submodule:
     """Arrow-invariant tuple of subspaces, one echelon basis per vertex.
 
     Bases are stored as rows in reduced echelon form, which makes
-    equality of submodules literal equality of bases.
+    equality of submodules literal equality of bases.  The dimension
+    vector and total dimension are stored at construction; submodules
+    with equal dimension vectors share one ``dims`` tuple.
     """
 
     parent: QuiverRep
     rows: tuple[tuple, ...]  # per vertex: tuple of basis row tuples (RREF)
     pivots: tuple[tuple[int, ...], ...]
-    _skip_check: bool = dc_field(default=False, repr=False)
+    _skip_check: InitVar[bool] = False
+    dims: DimVector = dc_field(init=False, repr=False)
+    total_dim: int = dc_field(init=False, repr=False)
 
-    def __post_init__(self):
-        if not self._skip_check and not _invariant(self.parent, self.rows, self.pivots):
+    def __post_init__(self, _skip_check):
+        if not _skip_check and not _invariant(self.parent, self.rows, self.pivots):
             raise SchemaError("/submodule", "subspaces are not arrow-invariant")
-
-    @property
-    def dims(self) -> DimVector:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
+        dims = _shared_dims(tuple(map(len, self.rows)))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", sum(dims))
 
     @property
     def is_zero(self) -> bool:
@@ -264,10 +264,27 @@ class Submodule:
         return hash(self.rows)
 
 
+@functools.lru_cache(maxsize=1024)
+def _shared_dims(dims: DimVector) -> DimVector:
+    return dims  # the cache hands back the first equal tuple
+
+
+def _images(F: Field, M, rows) -> list:
+    """The nonzero images M @ u of the rows u."""
+    return [w for w in (linalg.mat_vec(F, M, u) for u in rows) if any(w)]
+
+
+def _maps_into(F: Field, images, rows, pivots) -> bool:
+    """The arrow-invariance test: every image lies in the span of rows."""
+    return all(linalg.in_span(F, w, rows, pivots) for w in images)
+
+
 def _invariant(rep: QuiverRep, rows, pivots) -> bool:
-    arrows = [(idx, a.src - 1, a.tgt - 1) for idx, a in enumerate(rep.quiver.arrows)]
-    chosen = list(zip(rows, pivots))
-    return all(_partial_invariant(rep, arrows, chosen, v) for v in range(rep.quiver.n))
+    F = rep.field
+    return all(
+        _maps_into(F, _images(F, rep.maps[idx], rows[a.src - 1]), rows[a.tgt - 1], pivots[a.tgt - 1])
+        for idx, a in enumerate(rep.quiver.arrows)
+    )
 
 
 def zero_submodule(rep: QuiverRep) -> Submodule:
@@ -281,58 +298,61 @@ def full_submodule(rep: QuiverRep) -> Submodule:
     return Submodule(rep, rows, pivots, _skip_check=True)
 
 
-def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> list[Submodule]:
+def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> tuple[Submodule, ...]:
     """Every arrow-invariant subspace tuple, including 0 and rep itself.
 
     Per-vertex subspaces are enumerated in reduced echelon form and the
     product is filtered by invariance, so the output order is canonical
-    (vertex 1 varies slowest) and free of duplicates.
+    (vertex 1 varies slowest) and free of duplicates.  The lattice
+    depends on the representation alone, so equal representations share
+    one immutable tuple from a small memo; the field and cap checks run
+    on every call.
     """
-    F = rep.field
-    if not F.is_finite:
+    if not rep.field.is_finite:
         raise WrongFieldError("submodule enumeration needs a finite field; use the rational-field certificate route")
     if rep.total_dim > cap:
         raise CapExceededError(
             f"total dimension {rep.total_dim} exceeds the enumeration cap {cap}"
         )
-    per_vertex = [linalg.subspaces(F.p, d) for d in rep.dims]
-    out = []
-    n = rep.quiver.n
-    arrows = [
-        (idx, a.src - 1, a.tgt - 1)
-        for idx, a in enumerate(rep.quiver.arrows)
-        if rep.dims[a.src - 1] > 0
-    ]
+    return _lattice(rep)
 
-    def descend(v, chosen):
+
+@functools.lru_cache(maxsize=8)
+def _lattice(rep: QuiverRep) -> tuple[Submodule, ...]:
+    # Arrows are checked at the later of their two endpoints.  Images of
+    # the chosen rows at an earlier source are taken once per prefix;
+    # images of a candidate's rows into an earlier target once per
+    # candidate.
+    F = rep.field
+    n = rep.quiver.n
+    arrows = [(rep.maps[idx], a.src - 1, a.tgt - 1) for idx, a in enumerate(rep.quiver.arrows)]
+    into = [[(M, s) for M, s, t in arrows if t == v and s < v] for v in range(n)]
+    per_vertex = []
+    for v, d in enumerate(rep.dims):
+        cands = linalg.subspaces(F.p, d)
+        back = [(M, t) for M, s, t in arrows if s == v and t < v]
+        images = ([[(t, ims) for M, t in back if (ims := _images(F, M, rows))] for rows, _ in cands]
+                  if back else [()] * len(cands))
+        per_vertex.append((cands, images))
+    out = []
+    chosen: list = [None] * n
+
+    def descend(v):
         if v == n:
-            rows = tuple(c[0] for c in chosen)
-            pivots = tuple(c[1] for c in chosen)
+            rows, pivots = zip(*chosen)
             out.append(Submodule(rep, rows, pivots, _skip_check=True))
             return
-        for cand in per_vertex[v]:
-            chosen.append(cand)
-            if _partial_invariant(rep, arrows, chosen, v):
-                descend(v + 1, chosen)
-            chosen.pop()
+        fixed = [w for M, s in into[v] for w in _images(F, M, chosen[s][0])]
+        for cand, back in zip(*per_vertex[v]):
+            if fixed and not _maps_into(F, fixed, *cand):
+                continue
+            if back and not all(_maps_into(F, ims, *chosen[t]) for t, ims in back):
+                continue
+            chosen[v] = cand
+            descend(v + 1)
 
-    descend(0, [])
-    return out
-
-
-def _partial_invariant(rep, arrows, chosen, upto) -> bool:
-    # only arrows whose later endpoint is the vertex just chosen are new
-    F = rep.field
-    for idx, src, tgt in arrows:
-        if max(src, tgt) != upto:
-            continue
-        rows_s, _ = chosen[src]
-        rows_t, piv_t = chosen[tgt]
-        M = rep.maps[idx]
-        for u in rows_s:
-            if not linalg.in_span(F, linalg.mat_vec(F, M, u), rows_t, piv_t):
-                return False
-    return True
+    descend(0)
+    return tuple(out)
 
 
 def subquotient(rep: QuiverRep, lower: Submodule, upper: Submodule) -> QuiverRep:

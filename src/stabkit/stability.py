@@ -108,7 +108,8 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
     """Semistability with an explicit violating subobject when unstable.
 
     Over a finite field this is an exhaustive scan of the submodule list
-    in canonical order; the witness is the first violator found.  Over Q
+    in canonical order, with the phase comparison made once per
+    dimension-vector class; the witness is the first violator found.  Over Q
     only dimension-vector certificates are attempted (see
     :func:`_rational_certificate`), and anything else is refused.
     """
@@ -117,11 +118,16 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
     if not rep.field.is_finite:
         return _rational_certificate(rep, Z)
     own = phase(rep.dims, Z)
+
+    @functools.cache
+    def violation(beta):  # decided once per dimension-vector class
+        if any(beta) and beta != rep.dims and (ph := phase(beta, Z)).cmp(own) > 0:
+            return ph
+        return None
+
     for sub in quivrep.enumerate_submodules(rep, cap):
-        if sub.is_zero or sub.is_full:
-            continue
-        ph = phase(sub.dims, Z)
-        if ph.cmp(own) > 0:
+        ph = violation(sub.dims)
+        if ph is not None:
             return SemistabilityCertificate("unstable", sub, ph, own)
     return SemistabilityCertificate("semistable", None, None, own)
 
@@ -241,10 +247,13 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     phases: list[PhaseKey] = []
     while not chain[-1].is_full:
         A = chain[-1]
-        above = [(class_phase(quivrep.dim_sub(C.dims, A.dims)), C)
-                 for C in subs if C.total_dim > A.total_dim and C.contains(A)]
-        best = max(ph for ph, _ in above)
-        tied = [C for ph, C in above if ph == best]
+        above = [C for C in subs if C.total_dim > A.total_dim and C.contains(A)]
+        # phase(C/A) is compared once per class; max keeps the first maximal class in list order
+        by_class = {beta: class_phase(quivrep.dim_sub(beta, A.dims))
+                    for beta in dict.fromkeys(C.dims for C in above)}
+        best = max(by_class.values())
+        top_classes = {beta for beta, p in by_class.items() if p == best}
+        tied = [C for C in above if C.dims in top_classes]
         maxdim = max(C.total_dim for C in tied)
         top = [C for C in tied if C.total_dim == maxdim]
         if len(top) != 1:
@@ -260,7 +269,7 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     return filt
 
 
-def _mdq_kernel(current: Submodule, subs: list[Submodule], class_phase) -> Submodule:
+def _mdq_kernel(current: Submodule, subs: tuple[Submodule, ...], class_phase) -> Submodule:
     """Kernel of a maximally destabilising quotient of current.
 
     The kernels of the quotients of current are the members of its
@@ -272,10 +281,12 @@ def _mdq_kernel(current: Submodule, subs: list[Submodule], class_phase) -> Submo
     exhaustively; failure cannot happen in a finite-length module
     category and is therefore reported as an invariant violation.
     """
-    kernels = [(class_phase(quivrep.dim_sub(current.dims, K.dims)), K)
-               for K in subs if K.total_dim < current.total_dim and current.contains(K)]
-    best = min(ph for ph, _ in kernels)
-    tied = [K for ph, K in kernels if ph == best]
+    kernels = [K for K in subs if K.total_dim < current.total_dim and current.contains(K)]
+    by_class = {beta: class_phase(quivrep.dim_sub(current.dims, beta))
+                for beta in dict.fromkeys(K.dims for K in kernels)}
+    best = min(by_class.values())
+    low_classes = {beta for beta, p in by_class.items() if p == best}
+    tied = [K for K in kernels if K.dims in low_classes]
     K = min(tied, key=lambda s: s.sort_key())
     for other in tied:
         if not other.contains(K):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabkit import quivrep
 from stabkit.errors import CapExceededError, CycleError, FieldMismatchError, WrongFieldError
 from stabkit.quivrep import (
     Arrow,
@@ -106,9 +107,47 @@ def test_enumeration_cap_and_field():
 
 def test_enumeration_deterministic(a2_reps):
     r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
-    one = [(s.dims, s.rows) for s in enumerate_submodules(r)]
-    two = [(s.dims, s.rows) for s in enumerate_submodules(r)]
+    first = enumerate_submodules(r)
+    one = [(s.dims, s.rows) for s in first]
+    quivrep._lattice.cache_clear()  # the second call builds the lattice again
+    second = enumerate_submodules(r)
+    assert second is not first
+    two = [(s.dims, s.rows) for s in second]
     assert one == two
+
+
+def test_lattice_memo_is_keyed_on_equal_representations():
+    r1 = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
+    r2 = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
+    assert r1 is not r2 and r1 == r2
+    subs = enumerate_submodules(r1)
+    assert isinstance(subs, tuple)
+    assert enumerate_submodules(r2) is subs
+    # same dims and matrix entries over another field: another lattice
+    other = rep(A3, F2, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
+    same_entries = rep(A3, F3, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
+    assert other.maps == same_entries.maps and hash(other) == hash(same_entries)
+    assert len(enumerate_submodules(other)) != len(enumerate_submodules(same_entries))
+
+
+def test_cap_check_runs_on_memo_hits():
+    r = rep(A2, F2, (2, 2), {"a": [[1, 0], [0, 1]]})
+    enumerate_submodules(r, cap=6)
+    with pytest.raises(CapExceededError, match="total dimension 4 exceeds the enumeration cap 3"):
+        enumerate_submodules(r, cap=3)
+    assert len(enumerate_submodules(r, cap=4)) == len(enumerate_submodules(r, cap=6))
+
+
+def test_submodule_stores_shared_dims():
+    r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
+    subs = enumerate_submodules(r)
+    assert not hasattr(subs[0], "__dict__")
+    first = {}
+    for s in subs:
+        assert s.dims == tuple(len(rows) for rows in s.rows)
+        assert s.total_dim == sum(s.dims)
+        assert s.dims is first.setdefault(s.dims, s.dims)
+    assert len(first) < len(subs)
 
 
 def test_against_independent_enumerator():

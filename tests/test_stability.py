@@ -1,11 +1,22 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from stabkit.errors import InvariantViolation, UnsupportedVerdictError, ZeroClassError, ZeroObjectError
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
-from stabkit.quivrep import DEFAULT_CAP, all_ses, direct_sum, full_submodule, zero_rep, zero_submodule
+from stabkit.quivrep import (
+    DEFAULT_CAP,
+    all_ses,
+    dim_sub,
+    direct_sum,
+    enumerate_submodules,
+    full_submodule,
+    zero_rep,
+    zero_submodule,
+)
 from stabkit.stability import (
     CentralCharge,
     HNFiltration,
@@ -194,3 +205,107 @@ def test_z_additivity_and_descending_on_instances():
             assert p.cmp(q) > 0
         checked += 1
     assert checked == 30
+
+
+# --- reference: the per-submodule phase scans the class-level ones replace ---
+
+
+def _reference_certificate(r, Z):
+    own = phase(r.dims, Z)
+    for sub in enumerate_submodules(r):
+        if sub.is_zero or sub.is_full:
+            continue
+        ph = phase(sub.dims, Z)
+        if ph.cmp(own) > 0:
+            return "unstable", sub, ph, own
+    return "semistable", None, None, own
+
+
+def _reference_max_sub(r, Z, ties):
+    subs = enumerate_submodules(r)
+    class_phase = functools.cache(lambda beta: phase(beta, Z))
+    chain = [zero_submodule(r)]
+    phases = []
+    while not chain[-1].is_full:
+        A = chain[-1]
+        above = [(class_phase(dim_sub(C.dims, A.dims)), C)
+                 for C in subs if C.total_dim > A.total_dim and C.contains(A)]
+        best = max(ph for ph, _ in above)
+        tied = [C for ph, C in above if ph == best]
+        ties.append(len({C.dims for C in tied}) > 1)
+        maxdim = max(C.total_dim for C in tied)
+        top = [C for C in tied if C.total_dim == maxdim]
+        if len(top) != 1:
+            raise InvariantViolation(
+                "maximal-phase subobject of maximal dimension is not unique; "
+                f"{len(top)} candidates of dimension {maxdim - A.total_dim}"
+            )
+        chain.append(top[0])
+        phases.append(best)
+    return chain, phases
+
+
+def _reference_mdq(r, Z, ties):
+    subs = enumerate_submodules(r)
+    class_phase = functools.cache(lambda beta: phase(beta, Z))
+    chain_desc = [full_submodule(r)]
+    phases_rev = []
+    while not chain_desc[-1].is_zero:
+        current = chain_desc[-1]
+        kernels = [(class_phase(dim_sub(current.dims, K.dims)), K)
+                   for K in subs if K.total_dim < current.total_dim and current.contains(K)]
+        best = min(ph for ph, _ in kernels)
+        tied = [K for ph, K in kernels if ph == best]
+        ties.append(len({K.dims for K in tied}) > 1)
+        K = min(tied, key=lambda s: s.sort_key())
+        for other in tied:
+            if not other.contains(K):
+                raise InvariantViolation(
+                    "no maximally destabilising quotient: phase-minimal quotients do not factor through a common one"
+                )
+        phases_rev.append(class_phase(dim_sub(current.dims, K.dims)))
+        chain_desc.append(K)
+    return chain_desc[::-1], phases_rev[::-1]
+
+
+def _same_phase(p, q):
+    # equal as phases, and the same class chosen: the directions agree
+    return p is None and q is None or (p.cmp(q) == 0 and (p.k, p.dir.re, p.dir.im) == (q.k, q.dir.re, q.dir.im))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def test_class_level_scans_match_per_submodule_reference():
+    # charges drawn from a few values, several of them parallel, so phase
+    # classes tie at the extremum and the first extremal class matters
+    pool = ((1, 1), (2, 2), (3, 3), (-1, 1), (-2, 2), (0, 1), (0, 2))
+    rng = random.Random(4242)
+    ties = []
+    steps = 0
+    for _, r, _Z in instance_stream(seed=4243, count=150, max_total=5, max_per_vertex=3):
+        Z = charge(*(pool[rng.randrange(len(pool))] for _ in range(r.quiver.n)))
+        verdict, witness, wph, own = _reference_certificate(r, Z)
+        cert = is_semistable(r, Z)
+        assert cert.verdict == verdict
+        assert (cert.witness is None) == (witness is None)
+        if witness is not None:
+            assert cert.witness.rows == witness.rows
+        assert _same_phase(cert.witness_phase, wph) and _same_phase(cert.object_phase, own)
+        for reference, algo in ((_reference_max_sub, hn_filtration_max_sub), (_reference_mdq, hn_filtration_mdq)):
+            want = _outcome(lambda: reference(r, Z, ties))
+            got = _outcome(lambda: algo(r, Z, validate=False))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            chain, phases = want
+            assert [s.rows for s in got.chain] == [s.rows for s in chain]
+            assert len(got.phases) == len(phases)
+            assert all(_same_phase(p, q) for p, q in zip(got.phases, phases))
+            steps += len(phases)
+    assert steps > 300
+    assert sum(ties) > 50  # steps whose extremal phase several classes attain
