@@ -128,21 +128,10 @@ def cmd_decompose(doc: SessionDocument, args) -> dict:
     }
 
 
-def _auto_pairs(doc: SessionDocument, track: tuple[str, ...]) -> list[tuple[DimVector, DimVector]]:
+def _auto_pairs(doc: SessionDocument, track: tuple[str, ...], cap: int) -> list[tuple[DimVector, DimVector]]:
     """All (proper-subvector, total) pairs for each tracked representation."""
-    from itertools import product
-
-    pairs = []
-    for name in track:
-        rep = doc.rep(name)
-        total = rep.dims
-        for beta in product(*[range(d + 1) for d in total]):
-            if not any(beta) or beta == total:
-                continue
-            if quivrep.dims_proportional(beta, total):
-                continue
-            pairs.append((tuple(beta), total))
-    return pairs
+    return [(beta, rep.dims) for rep in map(doc.rep, track) for beta in quivrep.sub_dims(rep, cap)
+            if not quivrep.dims_proportional(beta, rep.dims)]
 
 
 def cmd_walls(doc: SessionDocument, args) -> dict:
@@ -153,7 +142,7 @@ def cmd_walls(doc: SessionDocument, args) -> dict:
             raise StabkitError(f"path {args.path!r} declares no explicit pairs")
         pairs = list(spec.pairs)
     else:
-        pairs = _auto_pairs(doc, spec.track)
+        pairs = _auto_pairs(doc, spec.track, args.cap)
     report = stabspace.find_walls(path, pairs)
     samples = stabspace.chamber_samples(report.events)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import InitVar, dataclass, field as dc_field
+from itertools import product
 
 from . import linalg
 from .errors import (
@@ -72,19 +73,21 @@ class Quiver:
             raise CycleError("quiver has a directed cycle through vertices " + " -> ".join(map(str, cyc)))
 
     def _find_cycle(self):
-        succ = {v: [] for v in range(1, self.n + 1)}
+        # only sources of arrows can lie on a cycle, so the work follows
+        # the arrows and not the vertex count
+        succ: dict[int, list[int]] = {}
         for a in self.arrows:
-            succ[a.src].append(a.tgt)
-        color = {v: 0 for v in succ}
+            succ.setdefault(a.src, []).append(a.tgt)
+        color: dict[int, int] = {}
         stack_path: list[int] = []
 
         def visit(v):
             color[v] = 1
             stack_path.append(v)
-            for w in succ[v]:
-                if color[w] == 1:
+            for w in succ.get(v, ()):
+                if color.get(w) == 1:
                     return stack_path[stack_path.index(w):] + [w]
-                if color[w] == 0:
+                if w not in color:
                     got = visit(w)
                     if got:
                         return got
@@ -92,8 +95,8 @@ class Quiver:
             color[v] = 2
             return None
 
-        for v in succ:
-            if color[v] == 0:
+        for v in sorted(succ):
+            if v not in color:
                 got = visit(v)
                 if got:
                     return got
@@ -287,15 +290,33 @@ def _invariant(rep: QuiverRep, rows, pivots) -> bool:
     )
 
 
+def coordinate_submodule(rep: QuiverRep, beta: DimVector) -> Submodule | None:
+    """The whole space at every vertex where beta is nonzero and 0 elsewhere,
+    or None when that tuple of subspaces is not arrow-invariant."""
+    rows = tuple(linalg.identity_matrix(rep.field, d) if b else () for b, d in zip(beta, rep.dims))
+    pivots = tuple(tuple(range(d)) if b else () for b, d in zip(beta, rep.dims))
+    if not _invariant(rep, rows, pivots):
+        return None
+    return Submodule(rep, rows, pivots, _skip_check=True)
+
+
 def zero_submodule(rep: QuiverRep) -> Submodule:
-    empty = tuple(tuple() for _ in rep.quiver.vertices)
-    return Submodule(rep, empty, empty, _skip_check=True)
+    return coordinate_submodule(rep, (0,) * rep.quiver.n)
 
 
 def full_submodule(rep: QuiverRep) -> Submodule:
-    rows = tuple(linalg.identity_matrix(rep.field, d) for d in rep.dims)
-    pivots = tuple(tuple(range(d)) for d in rep.dims)
-    return Submodule(rep, rows, pivots, _skip_check=True)
+    return coordinate_submodule(rep, rep.dims)
+
+
+def _check_cap(rep: QuiverRep, cap: int):
+    if rep.total_dim > cap:
+        raise CapExceededError(f"total dimension {rep.total_dim} exceeds the enumeration cap {cap}")
+
+
+def sub_dims(rep: QuiverRep, cap: int = DEFAULT_CAP) -> list[DimVector]:
+    """The nonzero proper vectors beta <= rep.dims, vertex 1 slowest, below the cap."""
+    _check_cap(rep, cap)
+    return [beta for beta in product(*(range(d + 1) for d in rep.dims)) if any(beta) and beta != rep.dims]
 
 
 def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> tuple[Submodule, ...]:
@@ -310,10 +331,7 @@ def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> tuple[Submod
     """
     if not rep.field.is_finite:
         raise WrongFieldError("submodule enumeration needs a finite field; use the rational-field certificate route")
-    if rep.total_dim > cap:
-        raise CapExceededError(
-            f"total dimension {rep.total_dim} exceeds the enumeration cap {cap}"
-        )
+    _check_cap(rep, cap)
     return _lattice(rep)
 
 

@@ -21,6 +21,9 @@ from .stabspace import ChargePath
 # Largest accepted quadratic-extension parameter D: checking that D is
 # square-free takes trial divisions up to the cube root of D.
 MAX_D = 10**12
+# Largest accepted dimension at a vertex: an omitted arrow matrix is built
+# as a zero matrix with dims[tgt] * dims[src] entries.
+MAX_DIM = 10**3
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def parse_session(text: str) -> SessionDocument:
     """Parse and fully validate a session document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     _expect(doc, dict, "/", "a JSON object")
 
@@ -222,6 +225,9 @@ def parse_session(text: str) -> SessionDocument:
         _expect(rraw, dict, ptr, "an object")
         dims_raw = _expect(rraw.get("dims"), list, ptr + "/dims", "a list of integers")
         dims = tuple(_expect(d, int, ptr + f"/dims/{i}", "an integer") for i, d in enumerate(dims_raw))
+        for i, d in enumerate(dims):
+            if not 0 <= d <= MAX_DIM:
+                raise SchemaError(ptr + f"/dims/{i}", f"expected a dimension in 0..{MAX_DIM}, got {d}")
         if len(dims) != quiver.n:
             raise SchemaError(ptr + "/dims", f"expected {quiver.n} entries, got {len(dims)}")
         maps_raw = _expect(rraw.get("maps", {}), dict, ptr + "/maps", "an object")
@@ -331,7 +337,7 @@ def parse_charge_document(text: str) -> CentralCharge:
     """Standalone charge file: {"charge": {"z": [{"re","im"},...], "D": n}}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     body = _expect(_expect(doc, dict, "/", "a JSON object").get("charge"), dict, "/charge", "an object")
     quad_d = _parse_d(body, "/charge/D")

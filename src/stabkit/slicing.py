@@ -91,7 +91,7 @@ def _module_hn_factors(rep: QuiverRep, Z: CentralCharge, cap: int):
         return list(zip(filt.factors, filt.phases))
     cert = stability.is_semistable(rep, Z, cap)
     if cert.is_semistable:
-        return [(rep, stability.phase(rep.dims, Z))]
+        return [(rep, cert.object_phase)]
     raise UnsupportedVerdictError(
         "decomposition over Q is only available for semistable representations"
     )

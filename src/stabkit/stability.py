@@ -13,9 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from . import linalg, quivrep
+from . import quivrep
 from .errors import (
     InvariantViolation,
     StabilityFunctionError,
@@ -70,9 +69,7 @@ class CentralCharge:
     def of(self, alpha: DimVector) -> ExactComplex:
         if len(alpha) != self.n:
             raise ZeroClassError(f"class has length {len(alpha)}, charge expects {self.n}")
-        acc_re = Fraction(0)
-        acc_im = Fraction(0)
-        acc = ExactComplex(acc_re, acc_im)
+        acc = ExactComplex(Fraction(0), Fraction(0))
         for a, z in zip(alpha, self.values):
             if a:
                 acc = acc + z.scale(a)
@@ -107,16 +104,16 @@ class SemistabilityCertificate:
 def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_CAP) -> SemistabilityCertificate:
     """Semistability with an explicit violating subobject when unstable.
 
-    Over a finite field this is an exhaustive scan of the submodule list
-    in canonical order, with the phase comparison made once per
-    dimension-vector class; the witness is the first violator found.  Over Q
-    only dimension-vector certificates are attempted (see
-    :func:`_rational_certificate`), and anything else is refused.
+    "phase(beta) > phase(dims)" is decided once per dimension-vector
+    class beta; the field decides how a violating class is realized.
+    Over a finite field the witness is the first submodule in canonical
+    order whose class violates.  Over Q it is the first rigid violator
+    (every component 0 or full) whose coordinate submodule is
+    arrow-invariant; failing that, a violator with a partial component
+    is refused rather than guessed.  Both scans are bounded by the cap.
     """
     if rep.is_zero:
         raise ZeroObjectError("semistability is undefined for the zero representation")
-    if not rep.field.is_finite:
-        return _rational_certificate(rep, Z)
     own = phase(rep.dims, Z)
 
     @functools.cache
@@ -125,59 +122,23 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
             return ph
         return None
 
-    for sub in quivrep.enumerate_submodules(rep, cap):
-        ph = violation(sub.dims)
-        if ph is not None:
-            return SemistabilityCertificate("unstable", sub, ph, own)
-    return SemistabilityCertificate("semistable", None, None, own)
-
-
-def _rational_certificate(rep: QuiverRep, Z: CentralCharge) -> SemistabilityCertificate:
-    """Finite certificates over Q, or an explicit refusal.
-
-    Every violating sub-dimension-vector is examined: if none exists the
-    representation is semistable outright.  A violator whose components
-    are all 0 or full is rigid: the only subspace tuple realizing it is
-    the coordinate one, so arrow invariance decides realizability
-    exactly (witness if invariant, unrealizable otherwise).  A violator
-    with a genuinely partial component is quiver-Grassmannian territory
-    and forces a refusal rather than a guess.
-    """
-    own = phase(rep.dims, Z)
-    F = rep.field
-    undecidable = None
-    for beta in product(*[range(d + 1) for d in rep.dims]):
-        if not any(beta) or beta == rep.dims:
-            continue
-        if phase(beta, Z).cmp(own) <= 0:
+    if rep.field.is_finite:
+        for sub in quivrep.enumerate_submodules(rep, cap):
+            if (ph := violation(sub.dims)) is not None:
+                return SemistabilityCertificate("unstable", sub, ph, own)
+        return SemistabilityCertificate("semistable", None, None, own)
+    partial = None
+    for beta in quivrep.sub_dims(rep, cap):
+        if (ph := violation(beta)) is None:
             continue
         if any(0 < b < d for b, d in zip(beta, rep.dims)):
-            if undecidable is None:
-                undecidable = beta
-            continue
-        S = {v for v in range(rep.quiver.n) if beta[v] > 0}
-        invariant = True
-        for idx, a in enumerate(rep.quiver.arrows):
-            if (a.src - 1) in S and (a.tgt - 1) not in S:
-                if any(x != F.zero for row in rep.maps[idx] for x in row):
-                    invariant = False
-                    break
-        if not invariant:
-            continue
-        rows = tuple(
-            linalg.identity_matrix(F, rep.dims[v]) if v in S else tuple()
-            for v in range(rep.quiver.n)
-        )
-        pivots = tuple(
-            tuple(range(rep.dims[v])) if v in S else tuple()
-            for v in range(rep.quiver.n)
-        )
-        sub = Submodule(rep, rows, pivots)
-        return SemistabilityCertificate("unstable", sub, phase(beta, Z), own)
-    if undecidable is not None:
+            partial = partial or beta
+        elif (sub := quivrep.coordinate_submodule(rep, beta)) is not None:
+            return SemistabilityCertificate("unstable", sub, ph, own)
+    if partial is not None:
         raise UnsupportedVerdictError(
             "no finite semistability certificate over Q: the destabilizing candidate "
-            f"dimension vector {undecidable} has a partial component and cannot be decided at desk scale"
+            f"dimension vector {partial} has a partial component and cannot be decided at desk scale"
         )
     return SemistabilityCertificate("semistable", None, None, own)
 

@@ -5,6 +5,7 @@ enumeration cap surface."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,31 @@ def test_cap_flag_controls_enumeration(fixture_path, tmp_path):
     assert json.loads(text)["error"] == "CapExceededError"
     code, text = cli.run(["--input", str(path), "--cap", "8", "semistable", "BIG", "Zstd"])
     assert code == 0
+    # a tracked representation above the cap: auto pairs refuse as the certificate does
+    doc["paths"]["path1"] = {"from": "Zwall0", "to": "Zwall1", "track": ["BIG"]}
+    path.write_text(json.dumps(doc))
+    code, text = cli.run(["--input", str(path), "walls", "path1", "--pairs", "auto"])
+    assert (code, json.loads(text)) == (2, {"command": "walls", "ok": False, "error": "CapExceededError",
+                                            "message": "total dimension 7 exceeds the enumeration cap 6"})
+
+
+def test_cap_bounds_the_rational_certificate(tmp_path):
+    # the sub-dimension-vector scan over Q is bounded like the enumeration
+    doc = {"quiver": {"vertices": 2, "arrows": []}, "field": "Q",
+           "reps": {"BIG": {"dims": [1000, 1000]}, "R": {"dims": [3, 4]}},
+           "charges": {"Zstd": {"z": [{"re": "-1", "im": "1"}, {"re": "1", "im": "1"}]}}}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, text = cli.run(["--input", str(path), "semistable", "BIG", "Zstd"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(text)["error"]) == (2, "CapExceededError")
+    code, text = cli.run(["--input", str(path), "semistable", "R", "Zstd"])
+    assert (code, json.loads(text)["error"]) == (2, "CapExceededError")
+    code, text = cli.run(["--input", str(path), "--cap", "7", "semistable", "R", "Zstd"])
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert result["verdict"] == "unstable" and result["witness"]["dims"] == [3, 0]
 
 
 def test_cap_error_names_dimension():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from stabkit.quivrep import (
     Arrow,
     Quiver,
     all_ses,
+    coordinate_submodule,
     dim_add,
     dim_sub,
     direct_sum,
@@ -19,6 +21,7 @@ from stabkit.quivrep import (
     full_submodule,
     hom_dim,
     simple_rep,
+    sub_dims,
     subquotient,
     zero_rep,
     zero_submodule,
@@ -103,6 +106,34 @@ def test_enumeration_cap_and_field():
     over_q = rep(A2, Q, (1, 1), {"a": [[1]]})
     with pytest.raises(WrongFieldError):
         enumerate_submodules(over_q)
+    # the class scan shares the cap check and needs no finite field
+    with pytest.raises(CapExceededError, match="^total dimension 7 exceeds the enumeration cap 6$"):
+        sub_dims(big)
+    assert sub_dims(over_q) == [(0, 1), (1, 0)]
+    for r in (rep(A3, Q, (2, 0, 3)), rep(A3, F3, (1, 2, 1)), big):
+        box = [beta for beta in product(*(range(d + 1) for d in r.dims)) if any(beta) and beta != r.dims]
+        assert sub_dims(r, cap=7) == box
+
+
+def test_coordinate_submodule_is_the_rigid_realization():
+    P = rep(A2, F2, (1, 1), {"a": [[1]]})
+    assert coordinate_submodule(P, (1, 0)) is None
+    assert coordinate_submodule(P, (0, 1)).dims == (0, 1)
+    assert coordinate_submodule(P, (0, 0)) == zero_submodule(P)
+    assert coordinate_submodule(P, (1, 1)) == full_submodule(P)
+    # a class whose components are all 0 or full has only the coordinate
+    # subspace tuple, so it is realized exactly when the enumeration finds it
+    checked = 0
+    for _, r, _Z in instance_stream(seed=77, count=60, max_total=5, max_per_vertex=3):
+        found = {s.dims: s for s in enumerate_submodules(r)}
+        for beta in sub_dims(r):
+            if all(b in (0, d) for b, d in zip(beta, r.dims)):
+                sub = coordinate_submodule(r, beta)
+                assert (sub is None) == (beta not in found)
+                if sub is not None:
+                    assert sub == found[beta] and sub.dims == beta
+                    checked += 1
+    assert checked > 40
 
 
 def test_enumeration_deterministic(a2_reps):

@@ -1,5 +1,8 @@
+import copy
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -317,3 +320,146 @@ def test_cli_huge_d_exit_2(fixture_path, tmp_path):
     assert parse_session(json.dumps(doc)).quad_d == largest_prime_below_bound
     with pytest.raises(SchemaError, match="at /charge/D"):
         parse_charge_document(json.dumps({"charge": {"z": [{"re": "0", "im": "1"}], "D": MAX_D + 1}}))
+
+
+def test_cli_huge_dims_exit_2(fixture_path, tmp_path):
+    # an omitted map is built as a zero matrix, so a huge entry used to hang the parser
+    from stabkit.session import MAX_DIM
+
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["reps"]["S2"].update(dims=[0, MAX_DIM + 1]), ("discrete", "Zstd"))
+    assert code == 2
+    assert message == f"at /reps/S2/dims/1: expected a dimension in 0..{MAX_DIM}, got {MAX_DIM + 1}"
+    doc = {"quiver": {"vertices": 2, "arrows": [{"name": "a", "src": 1, "tgt": 2}]}, "field": "F2",
+           "reps": {"S2": {"dims": [0, MAX_DIM]}}}
+    assert parse_session(json.dumps(doc)).reps["S2"].dims == (0, MAX_DIM)
+
+
+def test_cli_negative_dims_exit_2(fixture_path, tmp_path):
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["reps"]["S1"].update(dims=[-1, 0]))
+    assert code == 2
+    assert message.startswith("at /reps/S1/dims/0:")
+
+
+def test_cli_overlong_integer_literal_exit_2(fixture_path, tmp_path):
+    # the JSON reader refuses to convert an integer literal of more than 4300 digits
+    from stabkit.session import parse_charge_document
+
+    text = fixture_path.read_text()
+    assert '"dims": [1, 0]' in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"dims": [1, 0]', '"dims": [1' + "0" * 5000 + ", 0]"))
+    code, out = run_cli("--input", str(bad), "discrete", "Zstd")
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "SchemaError")
+    assert payload["message"].startswith("at /: invalid JSON")
+    with pytest.raises(SchemaError, match="^at /: invalid JSON"):
+        parse_charge_document('{"charge": {"z": [], "D": 1' + "0" * 5000 + "}}")
+
+
+# --- exit-code fuzz: mutated fixtures through every README command ---
+
+FUZZ_COMMANDS = {
+    "a2_session.json": [
+        ["hn", "P", "Zflip"], ["semistable", "P", "Zstd"], ["decompose", "PS", "Zstd"], ["walls", "path1"],
+        ["deform", "Zstd", "Zpert", "--eps", "1/10", "--testset", "basic"],
+        ["metric", "slicing", "Zstd", "Zflip", "--testset", "basic"],
+        ["metric", "stab", "Zstd", "Zflip", "--testset", "basic"],
+        ["glact", "Zstd", "--matrix", "2,0,0,2", "--testset", "basic"], ["discrete", "Zstd"],
+        ["validate", "Zstd", "--testset", "all"],
+    ],
+    "a3_sqrt2_session.json": [
+        ["hn", "R", "Zq"], ["semistable", "P", "Zr"], ["decompose", "Rup", "Zr"], ["walls", "tour"],
+        ["deform", "Zq", "Zp", "--eps", "1/10", "--testset", "basic"],
+        ["metric", "stab", "Zq", "Zr", "--testset", "basic"], ["discrete", "Zq"],
+        ["validate", "Zq", "--testset", "basic"],
+    ],
+}
+FUZZ_VALUES = (None, True, 1.5, "x", "", {}, [], 0, -1, 10**8, 10**30, -10**30, [[1]], {"a": "1"})
+FUZZ_SECONDS = 2  # per command; a run past it counts as a hang
+
+
+class _Hang(Exception):
+    pass
+
+
+def _fuzz_nodes(node, path=()):
+    """Every (path, value) below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fuzz_nodes(value, path + (key,))
+
+
+def _mutate(doc, rng):
+    """Apply one random mutation in place and name it."""
+    nodes = list(_fuzz_nodes(doc))
+    kind = rng.choice(("delete", "retype", "int", "list", "name"))
+    if kind == "list":
+        nodes = [n for n in nodes if isinstance(n[1], str)] or nodes
+    elif kind == "int":
+        nodes = [n for n in nodes if isinstance(n[1], int)] or nodes
+    elif kind == "name":
+        nodes = [n for n in nodes if isinstance(n[1], dict)] + [(("field",), doc.get("field"))]
+    path, value = rng.choice(nodes)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    elif kind == "int":
+        parent[key] = rng.choice((-1, -10**30, 10**8, 10**30, 2**63))
+    elif kind == "list":
+        parent[key] = [value]
+    elif isinstance(value, dict) and value:
+        value[rng.choice(("zz", "", "0", "name"))] = value.pop(rng.choice(sorted(value)))
+    else:
+        parent[key] = rng.choice(("F4", "GF2", "q", "f2", "F2 "))
+    return f"{kind} /{'/'.join(map(str, path))}"
+
+
+def test_cli_exit_codes_on_mutated_sessions(tmp_path):
+    def hang(signum, frame):
+        raise _Hang
+
+    rng = random.Random(2024)
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    docs = [("a2_session.json", "S2 dims [0, 10**8]",
+             lambda doc: doc["reps"]["S2"].update(dims=[0, 10**8])),
+            ("a2_session.json", "10**30 vertices", lambda doc: doc["quiver"].update(vertices=10**30))]
+    docs += [(fixture, None, None) for fixture in sorted(FUZZ_COMMANDS) * 50]
+    codes = []
+    old = signal.signal(signal.SIGALRM, hang)
+    try:
+        for i, (fixture, label, mutate) in enumerate(docs):
+            doc = json.loads((root / fixture).read_text())
+            if mutate:
+                mutate(doc)
+            else:
+                label = "; ".join(_mutate(doc, rng) for _ in range(rng.randint(1, 2)))
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(doc))
+            for command in FUZZ_COMMANDS[fixture]:
+                argv = ["--input", str(path), *command]
+                signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+                try:
+                    code, text = cli.run(argv)
+                except _Hang:
+                    pytest.fail(f"{fixture} with {label}: {command} ran past {FUZZ_SECONDS} s")
+                except Exception as exc:
+                    pytest.fail(f"{fixture} with {label}: {command} raised {exc!r}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 2, 3), (fixture, label, command, text)
+                payload = json.loads(text)
+                assert payload["ok"] is (code == 0), (fixture, label, command, text)
+                if code:
+                    assert payload["error"] and payload["message"], (fixture, label, command, text)
+                codes.append(code)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert {0, 2} <= set(codes)

@@ -2,13 +2,16 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from stabkit.errors import InvariantViolation, UnsupportedVerdictError, ZeroClassError, ZeroObjectError
+from stabkit import linalg
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
 from stabkit.quivrep import (
     DEFAULT_CAP,
+    Submodule,
     all_ses,
     dim_sub,
     direct_sum,
@@ -29,7 +32,7 @@ from stabkit.stability import (
     phase,
 )
 
-from support import A2, A3, F2, F3, Q, charge, ec, instance_stream, rep
+from support import A2, A3, F2, F3, KRONECKER, Q, charge, ec, instance_stream, rep
 
 
 def test_phase_examples(z_std):
@@ -309,3 +312,88 @@ def test_class_level_scans_match_per_submodule_reference():
             steps += len(phases)
     assert steps > 300
     assert sum(ties) > 50  # steps whose extremal phase several classes attain
+
+
+# --- reference: the separate rational certificate the merged one replaces ---
+
+
+def _reference_rational_certificate(rep, Z):
+    own = phase(rep.dims, Z)
+    F = rep.field
+    undecidable = None
+    for beta in product(*[range(d + 1) for d in rep.dims]):
+        if not any(beta) or beta == rep.dims:
+            continue
+        if phase(beta, Z).cmp(own) <= 0:
+            continue
+        if any(0 < b < d for b, d in zip(beta, rep.dims)):
+            if undecidable is None:
+                undecidable = beta
+            continue
+        S = {v for v in range(rep.quiver.n) if beta[v] > 0}
+        invariant = True
+        for idx, a in enumerate(rep.quiver.arrows):
+            if (a.src - 1) in S and (a.tgt - 1) not in S:
+                if any(x != F.zero for row in rep.maps[idx] for x in row):
+                    invariant = False
+                    break
+        if not invariant:
+            continue
+        rows = tuple(
+            linalg.identity_matrix(F, rep.dims[v]) if v in S else tuple()
+            for v in range(rep.quiver.n)
+        )
+        pivots = tuple(
+            tuple(range(rep.dims[v])) if v in S else tuple()
+            for v in range(rep.quiver.n)
+        )
+        sub = Submodule(rep, rows, pivots)
+        return "unstable", sub, phase(beta, Z), own
+    if undecidable is not None:
+        raise UnsupportedVerdictError(
+            "no finite semistability certificate over Q: the destabilizing candidate "
+            f"dimension vector {undecidable} has a partial component and cannot be decided at desk scale"
+        )
+    return "semistable", None, None, own
+
+
+def _certificate_outcome(fn):
+    try:
+        return fn()
+    except UnsupportedVerdictError as exc:
+        return type(exc), str(exc)
+
+
+def test_rational_certificate_matches_reference():
+    # about 40 % of the arrows are zero, so rigid violators are often
+    # realized; charges come from a few values, so phases often tie
+    pool = ((1, 1), (2, 2), (-1, 1), (-2, 1), (0, 1), (1, 2), (-1, 2))
+    rng = random.Random(5151)
+    outcomes = {"semistable": 0, "unstable": 0, "refused": 0}
+    for _ in range(600):
+        quiver = rng.choice((A2, A3, KRONECKER))
+        while True:
+            dims = tuple(rng.randint(0, 3) for _ in quiver.vertices)
+            if 0 < sum(dims) <= 6:
+                break
+        maps = {}
+        for a in quiver.arrows:
+            if rng.random() >= 0.4:
+                maps[a.name] = [[rng.choice((0, 1, -1, 2, "1/2")) for _ in range(dims[a.src - 1])]
+                                for _ in range(dims[a.tgt - 1])]
+        r = rep(quiver, Q, dims, maps)
+        Z = charge(*(rng.choice(pool) for _ in quiver.vertices))
+        want = _certificate_outcome(lambda: _reference_rational_certificate(r, Z))
+        got = _certificate_outcome(lambda: is_semistable(r, Z))
+        if isinstance(want[0], type):
+            assert got == want
+            outcomes["refused"] += 1
+            continue
+        verdict, witness, wph, own = want
+        assert got.verdict == verdict
+        assert (got.witness is None) == (witness is None)
+        if witness is not None:
+            assert got.witness.rows == witness.rows and got.witness.pivots == witness.pivots
+        assert _same_phase(got.witness_phase, wph) and _same_phase(got.object_phase, own)
+        outcomes[verdict] += 1
+    assert min(outcomes.values()) > 50, outcomes
