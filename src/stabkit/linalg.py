@@ -196,24 +196,26 @@ def subspaces(p: int, dim: int):
     """All subspaces of F_p^dim as (RREF rows, pivots), canonically ordered.
 
     Order: ascending rank, then pivot-column sets lexicographically, then
-    free entries lexicographically over 0..p-1.  Every subspace appears
-    exactly once because RREF bases are unique.
+    free entries lexicographically over 0..p-1, row by row.  Every
+    subspace appears exactly once because RREF bases are unique.  The
+    free entries of different rows are independent, so the bases of one
+    pivot set are the product of per-row choices, and equal rows are one
+    shared tuple.
     """
-    F = PrimeField(p)
+    elements = PrimeField(p).elements()
     out = [(tuple(), tuple())]
     for r in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), r):
-            free_slots = [
-                (i, c)
-                for i in range(r)
-                for c in range(dim)
-                if c > pivots[i] and c not in pivots
-            ]
-            for values in itertools.product(F.elements(), repeat=len(free_slots)):
-                rows = [[F.zero] * dim for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = F.one
-                for (i, c), v in zip(free_slots, values):
-                    rows[i][c] = v
-                out.append((tuple(tuple(row) for row in rows), tuple(pivots)))
+            choices = []
+            for c0 in pivots:
+                free = [c for c in range(c0 + 1, dim) if c not in pivots]
+                row = [0] * dim
+                row[c0] = 1
+                rows = []
+                for values in itertools.product(elements, repeat=len(free)):
+                    for c, x in zip(free, values):
+                        row[c] = x
+                    rows.append(tuple(row))
+                choices.append(rows)
+            out.extend(zip(itertools.product(*choices), itertools.repeat(pivots)))
     return tuple(out)

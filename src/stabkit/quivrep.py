@@ -10,7 +10,7 @@ total-dimension cap.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
@@ -212,29 +212,52 @@ def _require_compatible(M: QuiverRep, N: QuiverRep):
         raise FieldMismatchError(f"representations live over different fields {M.field} and {N.field}")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Submodule:
+class _SubmoduleSlots:
+    # The storage of a Submodule.  ``_member`` fills the slots of a fresh
+    # instance and then turns it into a Submodule, which refuses writes.
+    # Plain slot stores are the cheapest construction; going through
+    # object.__setattr__ or the slot descriptors made building the A2/F7
+    # (0,5) lattice 25-35 % slower.
+    __slots__ = ("parent", "rows", "pivots", "dims", "total_dim")
+
+    parent: QuiverRep
+    rows: tuple[tuple, ...]  # per vertex: tuple of basis row tuples (RREF)
+    pivots: tuple[tuple[int, ...], ...]
+    dims: DimVector
+    total_dim: int
+
+
+class Submodule(_SubmoduleSlots):
     """Arrow-invariant tuple of subspaces, one echelon basis per vertex.
 
     Bases are stored as rows in reduced echelon form, which makes
     equality of submodules literal equality of bases.  The dimension
     vector and total dimension are stored at construction; submodules
-    with equal dimension vectors share one ``dims`` tuple.
+    with equal dimension vectors share one ``dims`` tuple.  Calling the
+    class checks arrow invariance; the enumerator, whose members are
+    invariant by construction, builds them with ``_member``.  Instances
+    are immutable.
     """
 
-    parent: QuiverRep
-    rows: tuple[tuple, ...]  # per vertex: tuple of basis row tuples (RREF)
-    pivots: tuple[tuple[int, ...], ...]
-    _skip_check: InitVar[bool] = False
-    dims: DimVector = dc_field(init=False, repr=False)
-    total_dim: int = dc_field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self, _skip_check):
-        if not _skip_check and not _invariant(self.parent, self.rows, self.pivots):
+    def __new__(cls, parent: QuiverRep, rows, pivots):
+        if not _invariant(parent, rows, pivots):
             raise SchemaError("/submodule", "subspaces are not arrow-invariant")
-        dims = _shared_dims(tuple(map(len, self.rows)))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "total_dim", sum(dims))
+        dims = _shared_dims(tuple(map(len, rows)))
+        return _member(parent, rows, pivots, dims, sum(dims))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Submodule is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Submodule is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Submodule, (self.parent, self.rows, self.pivots)
+
+    def __repr__(self):
+        return f"Submodule(parent={self.parent!r}, rows={self.rows!r}, pivots={self.pivots!r})"
 
     @property
     def is_zero(self) -> bool:
@@ -249,9 +272,11 @@ class Submodule:
             if len(o) > len(r):
                 return False  # echelon rows are independent
         F = self.parent.field
-        for v in range(self.parent.quiver.n):
-            for row in other.rows[v]:
-                if not linalg.in_span(F, row, self.rows[v], self.pivots[v]):
+        for rows, pivots, d, theirs in zip(self.rows, self.pivots, self.parent.dims, other.rows):
+            if len(rows) == d:
+                continue  # the whole space holds every row
+            for row in theirs:
+                if not linalg.in_span(F, row, rows, pivots):
                     return False
         return True
 
@@ -265,6 +290,18 @@ class Submodule:
 
     def __hash__(self):
         return hash(self.rows)
+
+
+def _member(parent: QuiverRep, rows, pivots, dims: DimVector, total_dim: int) -> Submodule:
+    """A Submodule from parts known to be arrow-invariant; dims is shared."""
+    sub = object.__new__(_SubmoduleSlots)
+    sub.parent = parent
+    sub.rows = rows
+    sub.pivots = pivots
+    sub.dims = dims
+    sub.total_dim = total_dim
+    sub.__class__ = Submodule  # read-only from here on
+    return sub
 
 
 @functools.lru_cache(maxsize=1024)
@@ -297,7 +334,8 @@ def coordinate_submodule(rep: QuiverRep, beta: DimVector) -> Submodule | None:
     pivots = tuple(tuple(range(d)) if b else () for b, d in zip(beta, rep.dims))
     if not _invariant(rep, rows, pivots):
         return None
-    return Submodule(rep, rows, pivots, _skip_check=True)
+    dims = _shared_dims(tuple(map(len, rows)))
+    return _member(rep, rows, pivots, dims, sum(dims))
 
 
 def zero_submodule(rep: QuiverRep) -> Submodule:
@@ -340,7 +378,9 @@ def _lattice(rep: QuiverRep) -> tuple[Submodule, ...]:
     # Arrows are checked at the later of their two endpoints.  Images of
     # the chosen rows at an earlier source are taken once per prefix;
     # images of a candidate's rows into an earlier target once per
-    # candidate.
+    # candidate.  The last vertex is one flat loop per prefix; a member's
+    # dims and total_dim come from a table of the prefix, indexed by the
+    # member's rank there.
     F = rep.field
     n = rep.quiver.n
     arrows = [(rep.maps[idx], a.src - 1, a.tgt - 1) for idx, a in enumerate(rep.quiver.arrows)]
@@ -353,12 +393,31 @@ def _lattice(rep: QuiverRep) -> tuple[Submodule, ...]:
                   if back else [()] * len(cands))
         per_vertex.append((cands, images))
     out = []
-    chosen: list = [None] * n
+    chosen: list = [None] * (n - 1)
+
+    def last_vertex():
+        prefix_rows = tuple(rows for rows, _ in chosen)
+        prefix_pivots = tuple(pivots for _, pivots in chosen)
+        base = tuple(map(len, prefix_rows))
+        table = [(_shared_dims(base + (k,)), sum(base) + k) for k in range(rep.dims[-1] + 1)]
+        fixed = [w for M, s in into[-1] for w in _images(F, M, chosen[s][0])]
+        last = None
+        for (rows, pivots), back in zip(*per_vertex[-1]):
+            if fixed and not _maps_into(F, fixed, rows, pivots):
+                continue
+            if back and not all(_maps_into(F, ims, *chosen[t]) for t, ims in back):
+                continue
+            if pivots is not last:
+                # candidates of one pivot set are consecutive and share
+                # their pivots tuple, and so do their members
+                last = pivots
+                member_pivots = prefix_pivots + (pivots,)
+                dims, total_dim = table[len(pivots)]
+            out.append(_member(rep, prefix_rows + (rows,), member_pivots, dims, total_dim))
 
     def descend(v):
-        if v == n:
-            rows, pivots = zip(*chosen)
-            out.append(Submodule(rep, rows, pivots, _skip_check=True))
+        if v == n - 1:
+            last_vertex()
             return
         fixed = [w for M, s in into[v] for w in _images(F, M, chosen[s][0])]
         for cand, back in zip(*per_vertex[v]):

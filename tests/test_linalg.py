@@ -1,0 +1,52 @@
+import itertools
+
+import pytest
+
+from stabkit import linalg
+from stabkit.linalg import PrimeField
+
+
+def nested_loop_subspaces(p: int, dim: int):
+    """The slot-by-slot construction of every echelon basis, kept as the
+    reference for ``linalg.subspaces``."""
+    F = PrimeField(p)
+    out = [(tuple(), tuple())]
+    for r in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), r):
+            free_slots = [
+                (i, c)
+                for i in range(r)
+                for c in range(dim)
+                if c > pivots[i] and c not in pivots
+            ]
+            for values in itertools.product(F.elements(), repeat=len(free_slots)):
+                rows = [[F.zero] * dim for _ in range(r)]
+                for i in range(r):
+                    rows[i][pivots[i]] = F.one
+                for (i, c), v in zip(free_slots, values):
+                    rows[i][c] = v
+                out.append((tuple(tuple(row) for row in rows), tuple(pivots)))
+    return tuple(out)
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, max_dim", [(2, 6), (3, 5), (5, 4), (7, 3)])
+def test_subspaces_match_the_nested_loop_construction(p, max_dim):
+    F = PrimeField(p)
+    for dim in range(max_dim + 1):
+        got = linalg.subspaces(p, dim)
+        assert got == nested_loop_subspaces(p, dim)
+        assert len(got) == sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
+        shared: dict = {}
+        for rows, pivots in got:
+            assert linalg.rref(F, rows) == (rows, pivots)
+            for row in rows:
+                # equal rows of one pivot set are one tuple
+                assert row is shared.setdefault((pivots, row), row)

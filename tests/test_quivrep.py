@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import quivrep
-from stabkit.errors import CapExceededError, CycleError, FieldMismatchError, WrongFieldError
+from stabkit import linalg, quivrep
+from stabkit.errors import CapExceededError, CycleError, FieldMismatchError, SchemaError, WrongFieldError
 from stabkit.quivrep import (
     Arrow,
     Quiver,
@@ -172,13 +173,45 @@ def test_cap_check_runs_on_memo_hits():
 def test_submodule_stores_shared_dims():
     r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
     subs = enumerate_submodules(r)
-    assert not hasattr(subs[0], "__dict__")
+    coordinate = [coordinate_submodule(r, beta) for beta in [(0, 0, 0), (0, 0, 1), (1, 2, 1)]]
     first = {}
-    for s in subs:
+    for s in subs + tuple(coordinate):
+        assert type(s) is quivrep.Submodule
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError, match="immutable"):
+            s.dims = (9, 9, 9)
+        with pytest.raises(AttributeError, match="immutable"):
+            del s.rows
         assert s.dims == tuple(len(rows) for rows in s.rows)
         assert s.total_dim == sum(s.dims)
         assert s.dims is first.setdefault(s.dims, s.dims)
     assert len(first) < len(subs)
+    # the checked construction rebuilds an equal member; so does copying
+    member = subs[len(subs) // 2]
+    for again in (quivrep.Submodule(r, member.rows, member.pivots), copy.copy(member)):
+        assert again == member and hash(again) == hash(member) and again.dims is member.dims
+    with pytest.raises(SchemaError, match="not arrow-invariant"):
+        quivrep.Submodule(r, ((), ((1, 0),), ()), ((), (0,), ()))
+
+
+@pytest.mark.parametrize("quiver, dims", [(A2, (0, 3)), (A2, (1, 3)), (A3, (1, 1, 2)), (KRONECKER, (1, 2))])
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_member_loop_against_span_closure(quiver, dims, field):
+    # shapes whose last vertex carries most of the dimension, so most
+    # members come out of the flat loop over the last vertex
+    rng = random.Random(f"{dims}/{field}")
+    index = [{s: i for i, s in enumerate(linalg.subspaces(field.p, d))} for d in dims]
+    for trial in range(4):
+        maps = {a.name: [[rng.randrange(field.p) if trial else 0 for _ in range(dims[a.src - 1])]
+                         for _ in range(dims[a.tgt - 1])] for a in quiver.arrows}
+        r = rep(quiver, field, dims, maps)
+        subs = enumerate_submodules(r)
+        as_sets = [submodule_as_sets(s) for s in subs]
+        assert len(set(as_sets)) == len(subs)
+        assert set(as_sets) == submodule_sets_bruteforce(r)
+        # canonical order: the product of the per-vertex lists, vertex 1 slowest
+        positions = [tuple(index[v][(s.rows[v], s.pivots[v])] for v in range(quiver.n)) for s in subs]
+        assert positions == sorted(set(positions))
 
 
 def test_against_independent_enumerator():
@@ -252,11 +285,12 @@ def test_direct_sum_shapes(a2_reps):
 
 
 def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
-    from stabkit import linalg
-
     P = a2_reps["P"]
     zero, full = zero_submodule(P), full_submodule(P)
     (s2,) = [s for s in enumerate_submodules(P) if s.dims == (0, 1)]
+    # partial at vertex 2, where its line holds the image of vertex 1
+    r = rep(A2, F2, (1, 2), {"a": [[1], [0]]})
+    (line,) = [s for s in enumerate_submodules(r) if s.dims == (1, 1)]
 
     def no_span_test(*args):
         raise AssertionError("in_span called")
@@ -265,5 +299,7 @@ def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
     assert not s2.contains(full)
     assert not zero.contains(s2)
     assert not zero.contains(full)
+    # a vertex where the containing side is the whole space needs no span test
+    assert full.contains(s2)
     with pytest.raises(AssertionError, match="in_span called"):
-        full.contains(s2)
+        line.contains(line)
