@@ -51,6 +51,17 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d * r
 
 
+class _SquareFree(int):
+    """An integer that split_fraction proved square-free; QuadScalar takes it without a split."""
+
+
+def split_fraction(q: Fraction) -> tuple[Fraction, int]:
+    """The pair (r, d) with q = r**2 * d and d square-free; q > 0.  The square-free
+    parts of the numerator and the denominator are coprime, so d is their product."""
+    (s1, d1), (s2, d2) = squarefree_split(q.numerator), squarefree_split(q.denominator)
+    return Fraction(s1 * s2, q.denominator), _SquareFree(d1 * d2)
+
+
 @dataclass(frozen=True)
 class QuadScalar:
     """Exact element ``a + b*sqrt(d)`` of a real quadratic extension.
@@ -65,7 +76,7 @@ class QuadScalar:
     d: int
 
     def __post_init__(self):
-        if self.d < 2 or squarefree_split(self.d)[0] != 1:
+        if self.d < 2 or (not isinstance(self.d, _SquareFree) and squarefree_split(self.d)[0] != 1):
             raise UnsupportedScalarError(
                 f"quadratic extension requires a square-free integer >= 2, got d={self.d}"
             )
@@ -281,6 +292,15 @@ def cross(z1: ExactComplex, z2: ExactComplex) -> Scalar:
     return z1.re * z2.im - z1.im * z2.re
 
 
+def cross_sign(z1: ExactComplex, z2: ExactComplex) -> int:
+    """sign_of(cross(z1, z2)); with four Fraction parts, n1*n4*d2*d3 against n2*n3*d1*d4 in integers."""
+    a, b, c, d = z1.re, z2.im, z1.im, z2.re
+    if type(a) is type(b) is type(c) is type(d) is Fraction:
+        return sign_of(a.numerator * b.numerator * c.denominator * d.denominator
+                       - c.numerator * d.numerator * a.denominator * b.denominator)
+    return sign_of(cross(z1, z2))
+
+
 def in_strict_upper_half(z: ExactComplex) -> bool:
     """True iff z = r*exp(i*pi*phi) with r > 0 and phi in (0, 1].
 
@@ -315,9 +335,8 @@ class PhaseKey:
     def cmp(self, other: "PhaseKey") -> int:
         if self.k != other.k:
             return -1 if self.k < other.k else 1
-        c = sign_of(cross(self.dir, other.dir))
         # both args in (0, pi]: positive cross means self's arg is smaller
-        return -c
+        return -cross_sign(self.dir, other.dir)
 
     def __eq__(self, other):
         if not isinstance(other, PhaseKey):
@@ -428,7 +447,7 @@ class Displacement:
             return -1 if s1 < s2 else 1
         if s1 in (0, 2):
             return 0
-        return -sign_of(cross(self.w, other.w))
+        return -cross_sign(self.w, other.w)
 
     def __eq__(self, other):
         if not isinstance(other, Displacement):

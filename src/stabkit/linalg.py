@@ -169,9 +169,10 @@ def reduce_vector(F: Field, v, basis_rows, pivots):
     """Remainder of v after eliminating the pivot coordinates of an RREF basis."""
     out = list(v)
     for row, c in zip(basis_rows, pivots):
-        f = out[c]
-        if f != F.zero:
-            out = [F.sub(x, F.mul(f, y)) for x, y in zip(out, row)]
+        if f := out[c]:  # entries of both fields are false exactly at zero
+            for j, y in enumerate(row):
+                if y:
+                    out[j] = F.sub(out[j], F.mul(f, y))
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ minimal-phase quotients) exists precisely to oracle-check the first
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +28,9 @@ from .exactnum import (
     ExactComplex,
     PhaseKey,
     QuadScalar,
-    cross,
+    cross_sign,
     in_strict_upper_half,
     normalize_direction,
-    sign_of,
     sqrt_bounds,
 )
 from .quivrep import DimVector, QuiverRep, Submodule
@@ -53,6 +53,7 @@ class CentralCharge:
         ds = {s.d for z in self.values for s in (z.re, z.im) if isinstance(s, QuadScalar)}
         if len(ds) > 1:
             raise UnsupportedScalarError(f"charge mixes quadratic extensions {sorted(ds)}")
+        object.__setattr__(self, "_phases", {})  # phase memo keyed by class; outside ==, hash and repr
 
     @property
     def n(self) -> int:
@@ -69,11 +70,12 @@ class CentralCharge:
     def of(self, alpha: DimVector) -> ExactComplex:
         if len(alpha) != self.n:
             raise ZeroClassError(f"class has length {len(alpha)}, charge expects {self.n}")
-        acc = ExactComplex(Fraction(0), Fraction(0))
+        re = im = Fraction(0)
         for a, z in zip(alpha, self.values):
             if a:
-                acc = acc + z.scale(a)
-        return acc
+                re += z.re * a
+                im += z.im * a
+        return ExactComplex(re, im)
 
 
 def phase(alpha: DimVector, Z: CentralCharge) -> PhaseKey:
@@ -81,12 +83,15 @@ def phase(alpha: DimVector, Z: CentralCharge) -> PhaseKey:
 
     Mixed-sign classes whose charge falls outside the half-plane are
     normalized to k = -1 so the key invariant holds; a vanishing charge
-    has no phase at all.
+    has no phase at all.  Each class is computed once per charge.
     """
-    z = Z.of(alpha)
-    if z.is_zero:
-        raise ZeroClassError(f"charge vanishes on class {alpha}")
-    return normalize_direction(z)
+    key = tuple(alpha)
+    if (got := Z._phases.get(key)) is None:
+        z = Z.of(alpha)
+        if z.is_zero:
+            raise ZeroClassError(f"charge vanishes on class {alpha}")
+        got = Z._phases[key] = normalize_direction(z)
+    return got
 
 
 @dataclass(frozen=True)
@@ -203,14 +208,13 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     if rep.is_zero:
         raise ZeroObjectError("the zero representation has no filtration")
     subs = quivrep.enumerate_submodules(rep, cap)
-    class_phase = functools.cache(lambda beta: phase(beta, Z))
     chain = [quivrep.zero_submodule(rep)]
     phases: list[PhaseKey] = []
     while not chain[-1].is_full:
         A = chain[-1]
         above = [C for C in subs if C.total_dim > A.total_dim and C.contains(A)]
         # phase(C/A) is compared once per class; max keeps the first maximal class in list order
-        by_class = {beta: class_phase(quivrep.dim_sub(beta, A.dims))
+        by_class = {beta: phase(quivrep.dim_sub(beta, A.dims), Z)
                     for beta in dict.fromkeys(C.dims for C in above)}
         best = max(by_class.values())
         top_classes = {beta for beta, p in by_class.items() if p == best}
@@ -230,7 +234,7 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     return filt
 
 
-def _mdq_kernel(current: Submodule, subs: tuple[Submodule, ...], class_phase) -> Submodule:
+def _mdq_kernel(current: Submodule, subs: tuple[Submodule, ...], Z: CentralCharge) -> Submodule:
     """Kernel of a maximally destabilising quotient of current.
 
     The kernels of the quotients of current are the members of its
@@ -243,7 +247,7 @@ def _mdq_kernel(current: Submodule, subs: tuple[Submodule, ...], class_phase) ->
     category and is therefore reported as an invariant violation.
     """
     kernels = [K for K in subs if K.total_dim < current.total_dim and current.contains(K)]
-    by_class = {beta: class_phase(quivrep.dim_sub(current.dims, beta))
+    by_class = {beta: phase(quivrep.dim_sub(current.dims, beta), Z)
                 for beta in dict.fromkeys(K.dims for K in kernels)}
     best = min(by_class.values())
     low_classes = {beta for beta, p in by_class.items() if p == best}
@@ -270,12 +274,11 @@ def hn_filtration_mdq(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAU
     if rep.is_zero:
         raise ZeroObjectError("the zero representation has no filtration")
     subs = quivrep.enumerate_submodules(rep, cap)
-    class_phase = functools.cache(lambda beta: phase(beta, Z))
     chain_desc = [quivrep.full_submodule(rep)]
     phases_rev: list[PhaseKey] = []
     while not chain_desc[-1].is_zero:
-        K = _mdq_kernel(chain_desc[-1], subs, class_phase)
-        phases_rev.append(class_phase(quivrep.dim_sub(chain_desc[-1].dims, K.dims)))
+        K = _mdq_kernel(chain_desc[-1], subs, Z)
+        phases_rev.append(phase(quivrep.dim_sub(chain_desc[-1].dims, K.dims), Z))
         chain_desc.append(K)
     filt = _filtration(rep, chain_desc[::-1], phases_rev[::-1])
     if validate:
@@ -332,7 +335,6 @@ def _hnf_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
     if not work:
         return []
     ncols = len(work[0])
-    out = []
     r = 0
     for c in range(ncols):
         while True:
@@ -353,9 +355,7 @@ def _hnf_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
                     work[r] = [-x for x in work[r]]
                 r += 1
                 break
-    for row in work[:r]:
-        out.append(tuple(row))
-    return out
+    return [tuple(row) for row in work[:r]]
 
 
 def check_discreteness(Z: CentralCharge) -> DiscretenessReport:
@@ -395,14 +395,7 @@ def check_discreteness(Z: CentralCharge) -> DiscretenessReport:
         images.append(ExactComplex(re, im))
     span_dim = 0
     if any(not w.is_zero for w in images):
-        span_dim = 1
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if sign_of(cross(images[i], images[j])) != 0:
-                    span_dim = 2
-                    break
-            if span_dim == 2:
-                break
+        span_dim = 2 if any(cross_sign(u, w) for u, w in itertools.combinations(images, 2)) else 1
     discrete = r == span_dim
     verdict = "discrete" if discrete else "non_discrete"
     explanation = (

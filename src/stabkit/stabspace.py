@@ -34,13 +34,14 @@ from .exactnum import (
     QuadScalar,
     ccw_displacement,
     cross,
+    cross_sign,
     in_strict_upper_half,
     phase_diff_float,
     phase_key_anchor,
     root_bounds,
     sign_of,
     sqrt_bounds,
-    squarefree_split,
+    split_fraction,
 )
 from .linalg import Field
 from .quivrep import DimVector, Quiver
@@ -233,7 +234,7 @@ def charge_matches_key(z: ExactComplex, key: PhaseKey) -> bool:
     """Axiom (a) predicate: the charge points along the key's direction
     (after undoing the half-turn parity of the integer part)."""
     vec = key.dir if key.k % 2 == 0 else -key.dir
-    return sign_of(cross(z, vec)) == 0 and sign_of(z.re * vec.re + z.im * vec.im) > 0
+    return cross_sign(z, vec) == 0 and sign_of(z.re * vec.re + z.im * vec.im) > 0
 
 
 @dataclass(frozen=True)
@@ -484,12 +485,10 @@ def solve_alignment(q0: Fraction, q1: Fraction, q2: Fraction) -> list[RootValue]
         return []
     if disc == 0:
         return [-q1 / (2 * q2)]
-    n = disc.numerator * disc.denominator
-    s, d = squarefree_split(n)
+    rad, d = split_fraction(disc)
     if d == 1:
-        rad = Fraction(s, disc.denominator)
         return [(-q1 - rad) / (2 * q2), (-q1 + rad) / (2 * q2)]
-    b = Fraction(s, disc.denominator) / (2 * q2)
+    b = rad / (2 * q2)
     a = -q1 / (2 * q2)
     return [QuadScalar(a, -b, d), QuadScalar(a, b, d)]
 

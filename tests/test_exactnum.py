@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 from stabkit.errors import UnsupportedScalarError
 from stabkit.exactnum import (
     SPLIT_BUDGET,
+    ExactComplex,
     PhaseKey,
     QuadScalar,
     ccw_displacement,
+    cross,
+    cross_sign,
+    fmt_scalar,
     in_strict_upper_half,
     normalize_direction,
     phase_diff_float,
     phase_key_anchor,
     root_bounds,
+    sign_of,
+    split_fraction,
     sqrt_bounds,
     squarefree_split,
 )
@@ -91,6 +97,66 @@ def test_squarefree_split_refuses_beyond_the_budget():
     # the discriminant of t**2 - N/4 is N itself
     with pytest.raises(UnsupportedScalarError, match="trial divisors above"):
         solve_alignment(Fraction(-p * q * r, 4), Fraction(0), Fraction(1))
+
+
+def test_solve_alignment_splits_numerator_and_denominator_apart():
+    N = 10000019 * 10000079
+    D = 10000103 * 10000121
+    assert all(sympy.isprime(x) for x in (10000019, 10000079, 10000103, 10000121))
+    # roots of t**2 - N/(4D): sqrt(N/D) / 2 = sqrt(N*D) / (2D), and N*D is beyond the split budget
+    lo, hi = solve_alignment(Fraction(-N, 4 * D), Fraction(0), Fraction(1))
+    for root, sign in ((lo, -1), (hi, 1)):
+        assert (root.a, root.b, root.d) == (0, Fraction(sign, 2 * D), N * D)
+        assert root * root == Fraction(N, 4 * D)
+    rad, d = split_fraction(Fraction(12, 5))
+    assert (rad, d) == (Fraction(2, 5), 15)
+    x = QuadScalar(Fraction(1), Fraction(1), d)
+    assert x == QuadScalar(Fraction(1), Fraction(1), 15) and repr(x) == "QuadScalar(1, 1, d=15)"
+    assert fmt_scalar(x) == "(1+1√15)" and hash(x) == hash(QuadScalar(Fraction(1), Fraction(1), 15))
+    with pytest.raises(UnsupportedScalarError):  # arithmetic on a proven d proves nothing
+        QuadScalar(Fraction(0), Fraction(1), 4 * d)
+
+
+def test_solve_alignment_matches_the_single_integer_split():
+    rng = random.Random(7002)
+    for _ in range(300):
+        q0, q1, q2 = (Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(3))
+        if q2 == 0 or (disc := q1 * q1 - 4 * q0 * q2) <= 0:
+            continue
+        s, d = squarefree_split(disc.numerator * disc.denominator)
+        rad, a = Fraction(s, disc.denominator), -q1 / (2 * q2)
+        if d == 1:
+            expected = [(-q1 - rad) / (2 * q2), (-q1 + rad) / (2 * q2)]
+        else:
+            expected = [QuadScalar(a, -rad / (2 * q2), d), QuadScalar(a, rad / (2 * q2), d)]
+        got = solve_alignment(q0, q1, q2)
+        assert got == expected and [type(x) for x in got] == [type(x) for x in expected]
+
+
+def test_cross_sign_matches_the_sign_of_the_cross_product():
+    rng = random.Random(7003)
+
+    def rational():
+        return Fraction(rng.choice((0, 1, -1, rng.randint(-10 ** 12, 10 ** 12))), rng.randint(1, 10 ** 6))
+
+    def quad(d):
+        x = QuadScalar(rational(), rational(), d)
+        return x if rng.random() < 0.7 else x.a  # mixed Fraction and QuadScalar parts
+
+    pairs = []
+    for _ in range(150):
+        d = rng.choice((None, 2, 3, 5))
+        part = rational if d is None else (lambda: quad(d))
+        z1 = ExactComplex(part(), part())
+        for z2 in (ExactComplex(part(), part()), z1):
+            pairs.append((z1, z2))
+            # parallel and antiparallel directions have cross product zero
+            pairs.append((z1, z2.scale(rational() or 1)))
+            pairs.append((z1, z2.scale(-(rational() or 1))))
+    for z1, z2 in pairs:
+        assert cross_sign(z1, z2) == sign_of(cross(z1, z2)), (z1, z2)
+        assert cross_sign(z2, z1) == -cross_sign(z1, z2)
+    assert {cross_sign(z1, z2) for z1, z2 in pairs} == {-1, 0, 1}
 
 
 def test_quad_inverse():

@@ -1,9 +1,11 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from stabkit import linalg
-from stabkit.linalg import PrimeField
+from stabkit.linalg import FIELDS, PrimeField
 
 
 def nested_loop_subspaces(p: int, dim: int):
@@ -50,3 +52,33 @@ def test_subspaces_match_the_nested_loop_construction(p, max_dim):
             for row in rows:
                 # equal rows of one pivot set are one tuple
                 assert row is shared.setdefault((pivots, row), row)
+
+
+def list_formula_reduce_vector(F, v, basis_rows, pivots):
+    """A new list per eliminated pivot row: the reference for ``linalg.reduce_vector``."""
+    out = list(v)
+    for row, c in zip(basis_rows, pivots):
+        f = out[c]
+        if f != F.zero:
+            out = [F.sub(x, F.mul(f, y)) for x, y in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F7", "Q"])
+def test_reduce_vector_matches_the_list_formula(name):
+    F = FIELDS[name]
+    rng = random.Random(name)
+
+    def entry():
+        if F.is_finite:
+            return rng.randrange(F.p)
+        return Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        basis, pivots = linalg.rref(F, [[entry() for _ in range(dim)] for _ in range(rng.randint(0, dim))])
+        v = tuple(entry() for _ in range(dim))
+        got = linalg.reduce_vector(F, v, basis, pivots)
+        assert got == list_formula_reduce_vector(F, v, basis, pivots)
+        assert [type(x) for x in got] == [type(x) for x in v]
+        assert linalg.in_span(F, v, basis, pivots) == (not any(got))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -50,6 +51,26 @@ def test_phase_zero_class_error():
     zi = charge((0, 1), (0, 1))
     with pytest.raises(ZeroClassError):
         phase((1, -1), zi)
+
+
+def test_phase_memo_is_held_by_the_charge():
+    Z = charge((1, 1), (-1, 2))
+    twin = charge((1, 1), (-1, 2))
+    before = (repr(Z), hash(Z))
+    p = phase((1, 2), Z)
+    assert phase((1, 2), Z) is p and phase([1, 2], Z) is p
+    fresh = phase((1, 2), twin)
+    assert fresh is not p and fresh.cmp(p) == 0 and fresh.dir == p.dir
+    # the memo is outside ==, hash, repr and the dataclass fields
+    assert Z == twin and (repr(Z), hash(Z)) == before == (repr(twin), hash(twin))
+    assert [f.name for f in dataclasses.fields(Z)] == ["values"]
+    zi = charge((0, 1), (0, 1))
+    for _ in range(3):  # a vanishing class raises on every call and is never stored
+        with pytest.raises(ZeroClassError, match="vanishes"):
+            phase((1, -1), zi)
+        with pytest.raises(ZeroClassError, match="length"):
+            phase((1, 1, 1), zi)
+    assert (1, -1) not in zi._phases and phase((1, 0), zi).k == 0
 
 
 def test_semistable_examples(a2_reps, z_std, z_flip):
