@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -314,7 +315,7 @@ def cmd_curve(args) -> dict:
             "csv_rows": [("T", "m"), (";".join(str(x) for row in g.T for x in row), g.m)],
         }
     red = ellcurve.modular_reduce(g)
-    tau_re, tau_im = red.tau_float
+    tau_re, tau_im = red.tau.to_floats()
     return {
         "T": [[str(x) for x in row] for row in g.T],
         "m": red.branch,
@@ -323,7 +324,7 @@ def cmd_curve(args) -> dict:
         "tau_exact": {"re": str(red.tau.re), "im": str(red.tau.im)},
         "tau_float": [tau_re, tau_im],
         "omega1": fmt_exact_complex(red.omega1),
-        "scale": red.scale,
+        "scale": math.sqrt(float(red.omega1.abs_squared())),
         "csv_rows": [("tau_re", "tau_im", "gamma_word"), (tau_re, tau_im, " ".join(red.word) or "1")],
     }
 

@@ -9,11 +9,11 @@ level is about charges and phases of (rank, degree) pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateChargeError, OrientationError
-from .exactnum import ExactComplex, PhaseKey
+from .exactnum import ExactComplex, Frozen, PhaseKey
 from .stabspace import (
     GLtildeElement,
     Mat2,
@@ -26,8 +26,7 @@ from .stabspace import (
 MAT_STD: Mat2 = mat2(0, -1, 1, 0)  # sends (r, d) to (-d, r)
 
 
-@dataclass(frozen=True)
-class NumClass:
+class NumClass(NamedTuple):
     """Numerical class of a sheaf: rank and degree."""
 
     r: int
@@ -44,11 +43,13 @@ def std_charge(c: NumClass) -> ExactComplex:
     return ExactComplex(Fraction(-c.d), Fraction(c.r))
 
 
-@dataclass(frozen=True)
-class NumericalCharge:
+class NumericalCharge(Frozen):
     """A rational matrix sending (r, d) to (re Z, im Z)."""
 
-    M: Mat2
+    __slots__ = ("M",)
+
+    def __init__(self, M: Mat2):
+        object.__setattr__(self, "M", M)
 
     def of(self, c: NumClass) -> ExactComplex:
         return ExactComplex(
@@ -87,21 +88,12 @@ def classify(Zn: NumericalCharge) -> GLtildeElement:
     return GLtildeElement(T, m)
 
 
-@dataclass(frozen=True)
-class ModularReduction:
+class ModularReduction(NamedTuple):
     gamma: tuple[tuple[int, int], tuple[int, int]]
     word: tuple[str, ...]
     tau: ExactComplex
     omega1: ExactComplex
     branch: int
-
-    @property
-    def tau_float(self) -> tuple[float, float]:
-        return self.tau.to_floats()
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(float(self.omega1.abs_squared()))
 
 
 _GAMMA_S = ((0, -1), (1, 0))

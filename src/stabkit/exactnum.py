@@ -11,7 +11,6 @@ Floats appear only in advisory output fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,8 +61,42 @@ def split_fraction(q: Fraction) -> tuple[Fraction, int]:
     return Fraction(s1 * s2, q.denominator), _SquareFree(d1 * d2)
 
 
-@dataclass(frozen=True)
-class QuadScalar:
+class Frozen:
+    """Base of the package's immutable classes.
+
+    A subclass names its fields in ``__slots__`` and stores each one once,
+    in its constructor, through ``object.__setattr__`` or the slot's
+    descriptor; assignment and deletion then raise AttributeError.
+    ``==``, ``hash``, ``repr`` and pickling go by the public slots in
+    order; slots named ``_...`` are left out of all four.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class QuadScalar(Frozen):
     """Exact element ``a + b*sqrt(d)`` of a real quadratic extension.
 
     ``d`` must be a square-free integer >= 2, so sqrt(d) is irrational and
@@ -71,17 +104,21 @@ class QuadScalar:
     ``b**2 * d`` (with the obvious case analysis on the signs of a and b).
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Fraction | int, b: Fraction | int, d: int):
+        _set_a(self, a if type(a) is Fraction else Fraction(a))
+        _set_b(self, b if type(b) is Fraction else Fraction(b))
+        _set_d(self, d)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The check of d.  The constructor calls it once per instance through
+        the class, so a replacement set on the class sees every construction."""
         if self.d < 2 or (not isinstance(self.d, _SquareFree) and squarefree_split(self.d)[0] != 1):
             raise UnsupportedScalarError(
                 f"quadratic extension requires a square-free integer >= 2, got d={self.d}"
             )
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
 
     def _coerce(self, other) -> "QuadScalar":
         if isinstance(other, QuadScalar):
@@ -234,12 +271,14 @@ def _sqrt_bounds_fraction(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class ExactComplex:
+class ExactComplex(Frozen):
     """Complex number with exact rational or quadratic-extension parts."""
 
-    re: Scalar
-    im: Scalar
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Scalar | int, im: Scalar | int):
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
@@ -284,9 +323,6 @@ class ExactComplex:
         return f"({fmt_scalar(self.re)} + {fmt_scalar(self.im)}i)"
 
 
-EC_I = ExactComplex(Fraction(0), Fraction(1))
-
-
 def cross(z1: ExactComplex, z2: ExactComplex) -> Scalar:
     """Signed area re(z1)*im(z2) - im(z1)*re(z2); sign orders arguments."""
     return z1.re * z2.im - z1.im * z2.re
@@ -314,32 +350,13 @@ def in_strict_upper_half(z: ExactComplex) -> bool:
     return False
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseKey:
-    """Exact phase ``k + arg(dir)/pi`` with ``arg(dir)`` in ``(0, pi]``.
+class _Ordered(Frozen):
+    """Equality and order by ``cmp``, within one class; each subclass has its own hash."""
 
-    The pair (integer, direction) is the only phase representation in the
-    package; two keys are equal iff the integers agree and the directions
-    are positively proportional.  The fractional part lies in (0, 1], so
-    the representation of a phase value is unique and comparisons reduce
-    to integer comparison plus one exact cross-product sign.
-    """
-
-    k: int
-    dir: ExactComplex
-
-    def __post_init__(self):
-        if not in_strict_upper_half(self.dir):
-            raise ValueError(f"phase direction {self.dir!r} not in (0, pi] convention")
-
-    def cmp(self, other: "PhaseKey") -> int:
-        if self.k != other.k:
-            return -1 if self.k < other.k else 1
-        # both args in (0, pi]: positive cross means self's arg is smaller
-        return -cross_sign(self.dir, other.dir)
+    __slots__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, PhaseKey):
+        if type(other) is not type(self):
             return NotImplemented
         return self.cmp(other) == 0
 
@@ -354,6 +371,31 @@ class PhaseKey:
 
     def __ge__(self, other):
         return self.cmp(other) >= 0
+
+
+class PhaseKey(_Ordered):
+    """Exact phase ``k + arg(dir)/pi`` with ``arg(dir)`` in ``(0, pi]``.
+
+    The pair (integer, direction) is the only phase representation in the
+    package; two keys are equal iff the integers agree and the directions
+    are positively proportional.  The fractional part lies in (0, 1], so
+    the representation of a phase value is unique and comparisons reduce
+    to integer comparison plus one exact cross-product sign.
+    """
+
+    __slots__ = ("k", "dir")
+
+    def __init__(self, k: int, dir: ExactComplex):
+        if not in_strict_upper_half(dir):
+            raise ValueError(f"phase direction {dir!r} not in (0, pi] convention")
+        _set_k(self, k)
+        _set_dir(self, dir)
+
+    def cmp(self, other: "PhaseKey") -> int:
+        if self.k != other.k:
+            return -1 if self.k < other.k else 1
+        # both args in (0, pi]: positive cross means self's arg is smaller
+        return -cross_sign(self.dir, other.dir)
 
     def __hash__(self):
         return hash(self.k)
@@ -411,8 +453,7 @@ def normalize_direction(z: ExactComplex) -> PhaseKey:
     return PhaseKey(-1, -z)
 
 
-@dataclass(frozen=True, eq=False)
-class Displacement:
+class Displacement(_Ordered):
     """Counterclockwise angular displacement in [0, 2) half-turns.
 
     Stored as a nonzero witness vector ``w`` whose argument (mod 2*pi) is
@@ -422,11 +463,12 @@ class Displacement:
     (in (1,2)).  Comparisons are sector order plus a cross-product sign.
     """
 
-    w: ExactComplex
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        if self.w.is_zero:
+    def __init__(self, w: ExactComplex):
+        if w.is_zero:
             raise ValueError("displacement witness must be nonzero")
+        _set_w(self, w)
 
     @property
     def sector(self) -> int:
@@ -449,23 +491,6 @@ class Displacement:
             return 0
         return -cross_sign(self.w, other.w)
 
-    def __eq__(self, other):
-        if not isinstance(other, Displacement):
-            return NotImplemented
-        return self.cmp(other) == 0
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
-
     def __hash__(self):
         return hash(self.sector)
 
@@ -484,6 +509,16 @@ class Displacement:
 
     def __repr__(self):
         return f"Displacement(~{self.float_value():.6f}, w={self.w!r})"
+
+
+# The value types' constructors store through the slot descriptors: the
+# cheapest store that their refusal of attribute assignment leaves.
+_set_a, _set_b, _set_d = QuadScalar.a.__set__, QuadScalar.b.__set__, QuadScalar.d.__set__
+_set_re, _set_im = ExactComplex.re.__set__, ExactComplex.im.__set__
+_set_k, _set_dir = PhaseKey.k.__set__, PhaseKey.dir.__set__
+_set_w = Displacement.w.__set__
+
+EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 
 def ccw_displacement(d1: ExactComplex, d2: ExactComplex) -> Displacement:

@@ -10,7 +10,6 @@ total-dimension cap.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
@@ -21,6 +20,7 @@ from .errors import (
     SchemaError,
     WrongFieldError,
 )
+from .exactnum import Frozen
 from .linalg import Field
 
 DimVector = tuple[int, ...]
@@ -44,27 +44,29 @@ def dims_proportional(a: DimVector, b: DimVector) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    src: int
-    tgt: int
+class Arrow(Frozen):
+    __slots__ = ("name", "src", "tgt")
+
+    def __init__(self, name: str, src: int, tgt: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """Directed graph on vertices 1..n, required to be acyclic."""
 
-    n: int
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("n", "arrows")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise SchemaError("/quiver/vertices", f"need at least one vertex, got {self.n}")
+    def __init__(self, n: int, arrows: tuple[Arrow, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arrows", arrows)
+        if n < 1:
+            raise SchemaError("/quiver/vertices", f"need at least one vertex, got {n}")
         seen = set()
-        for a in self.arrows:
-            if not (1 <= a.src <= self.n and 1 <= a.tgt <= self.n):
-                raise SchemaError(f"/quiver/arrows/{a.name}", f"endpoint out of range 1..{self.n}")
+        for a in arrows:
+            if not (1 <= a.src <= n and 1 <= a.tgt <= n):
+                raise SchemaError(f"/quiver/arrows/{a.name}", f"endpoint out of range 1..{n}")
             if a.name in seen:
                 raise SchemaError(f"/quiver/arrows/{a.name}", "duplicate arrow name")
             seen.add(a.name)
@@ -122,28 +124,29 @@ def euler_form(quiver: Quiver, alpha: DimVector, beta: DimVector) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Frozen):
     """Representation: one vector space per vertex, one matrix per arrow.
 
     Matrices have shape (dim target x dim source) and act on column
-    vectors, so arrow a: i -> j sends v in F^{dims[i]} to maps[a] @ v.
+    vectors, so arrow a: i -> j sends v in F^{dims[i]} to maps[a] @ v;
+    ``maps`` holds one row-tuple matrix per arrow, in quiver order.
     """
 
-    quiver: Quiver
-    field: Field
-    dims: DimVector
-    maps: tuple[tuple, ...]  # one row-tuple matrix per arrow, in quiver order
+    __slots__ = ("quiver", "field", "dims", "maps")
 
-    def __post_init__(self):
-        if len(self.dims) != self.quiver.n:
-            raise SchemaError("/dims", f"expected {self.quiver.n} entries, got {len(self.dims)}")
-        if any(d < 0 for d in self.dims):
+    def __init__(self, quiver: Quiver, field: Field, dims: DimVector, maps: tuple[tuple, ...]):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
+        if len(dims) != quiver.n:
+            raise SchemaError("/dims", f"expected {quiver.n} entries, got {len(dims)}")
+        if any(d < 0 for d in dims):
             raise SchemaError("/dims", "dimensions must be non-negative")
-        if len(self.maps) != len(self.quiver.arrows):
-            raise SchemaError("/maps", f"expected {len(self.quiver.arrows)} matrices")
-        for a, M in zip(self.quiver.arrows, self.maps):
-            rows, cols = self.dims[a.tgt - 1], self.dims[a.src - 1]
+        if len(maps) != len(quiver.arrows):
+            raise SchemaError("/maps", f"expected {len(quiver.arrows)} matrices")
+        for a, M in zip(quiver.arrows, maps):
+            rows, cols = dims[a.tgt - 1], dims[a.src - 1]
             if len(M) != rows or any(len(r) != cols for r in M):
                 raise SchemaError(
                     f"/maps/{a.name}",
@@ -158,17 +161,7 @@ class QuiverRep:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def __eq__(self, other):
-        if not isinstance(other, QuiverRep):
-            return NotImplemented
-        return (
-            self.quiver == other.quiver
-            and self.field == other.field
-            and self.dims == other.dims
-            and self.maps == other.maps
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # dims and maps only: the lattice memo hashes a rep on every call
         return hash((self.dims, self.maps))
 
 
@@ -227,7 +220,7 @@ class _SubmoduleSlots:
     total_dim: int
 
 
-class Submodule(_SubmoduleSlots):
+class Submodule(_SubmoduleSlots, Frozen):
     """Arrow-invariant tuple of subspaces, one echelon basis per vertex.
 
     Bases are stored as rows in reduced echelon form, which makes
@@ -246,12 +239,6 @@ class Submodule(_SubmoduleSlots):
             raise SchemaError("/submodule", "subspaces are not arrow-invariant")
         dims = _shared_dims(tuple(map(len, rows)))
         return _member(parent, rows, pivots, dims, sum(dims))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Submodule is immutable: cannot assign to {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Submodule is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return Submodule, (self.parent, self.rows, self.pivots)

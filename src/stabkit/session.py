@@ -7,12 +7,12 @@ failures with JSON-pointer paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import SchemaError, UnknownNameError
-from .exactnum import ExactComplex, QuadScalar, fmt_scalar, parse_rational
+from .exactnum import ExactComplex, Frozen, QuadScalar, fmt_scalar, parse_rational
 from .quivrep import Arrow, DimVector, Quiver, QuiverRep
 from .slicing import FormalComplex
 from .stability import CentralCharge
@@ -26,24 +26,27 @@ MAX_D = 10**12
 MAX_DIM = 10**3
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(NamedTuple):
     start: str
     end: str
     track: tuple[str, ...]
     pairs: tuple[tuple[DimVector, DimVector], ...] | None
 
 
-@dataclass
-class SessionDocument:
-    quiver: Quiver
-    field: linalg.Field
-    quad_d: int | None
-    reps: dict[str, QuiverRep]
-    charges: dict[str, CentralCharge]
-    complexes: dict[str, FormalComplex]
-    testsets: dict[str, tuple[str, ...]]
-    paths: dict[str, PathSpec]
+class SessionDocument(Frozen):
+    __slots__ = ("quiver", "field", "quad_d", "reps", "charges", "complexes", "testsets", "paths")
+
+    def __init__(self, quiver: Quiver, field: linalg.Field, quad_d: int | None, reps: dict[str, QuiverRep],
+                 charges: dict[str, CentralCharge], complexes: dict[str, FormalComplex],
+                 testsets: dict[str, tuple[str, ...]], paths: dict[str, PathSpec]):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "quad_d", quad_d)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "charges", charges)
+        object.__setattr__(self, "complexes", complexes)
+        object.__setattr__(self, "testsets", testsets)
+        object.__setattr__(self, "paths", paths)
 
     def rep(self, name: str) -> QuiverRep:
         if name not in self.reps:

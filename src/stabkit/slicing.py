@@ -9,13 +9,12 @@ concatenations of module-level filtrations, one shift at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import quivrep, stability
 from .errors import FieldMismatchError, InvariantViolation, UnsupportedVerdictError, ZeroObjectError
-from .exactnum import PhaseKey, phase_diff_float
+from .exactnum import Frozen, PhaseKey, phase_diff_float
 from .quivrep import QuiverRep
 from .stability import CentralCharge
 
@@ -23,27 +22,28 @@ if TYPE_CHECKING:
     from .stabspace import StabilityConditionHandle
 
 
-@dataclass(frozen=True)
-class FormalComplex:
+class FormalComplex(Frozen):
     """Finite formal sum of shifted representations: parts maps k to M_k.
 
-    The empty sum is the zero object; stored parts are nonzero.  The
-    class in the Grothendieck group alternates signs with the shift.
+    The empty sum is the zero object; stored parts are nonzero and sorted
+    by descending shift.  The class in the Grothendieck group alternates
+    signs with the shift.
     """
 
-    parts: tuple[tuple[int, QuiverRep], ...]  # sorted by descending shift
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        ks = [k for k, _ in self.parts]
+    def __init__(self, parts: tuple[tuple[int, QuiverRep], ...]):
+        ks = [k for k, _ in parts]
         if len(set(ks)) != len(ks):
             raise ZeroObjectError("formal complex declares a shift twice")
         if list(ks) != sorted(ks, reverse=True):
-            object.__setattr__(self, "parts", tuple(sorted(self.parts, key=lambda p: -p[0])))
-        for k, rep in self.parts:
+            parts = tuple(sorted(parts, key=lambda p: -p[0]))
+        object.__setattr__(self, "parts", parts)
+        for k, rep in parts:
             if rep.is_zero:
                 raise ZeroObjectError(f"zero representation stored at shift {k}")
-        quivers = {id(rep.quiver) for _, rep in self.parts}
-        if len({rep.field for _, rep in self.parts}) > 1 or len(quivers) > 1:
+        quivers = {id(rep.quiver) for _, rep in parts}
+        if len({rep.field for _, rep in parts}) > 1 or len(quivers) > 1:
             raise FieldMismatchError("formal complex mixes quivers or fields")
 
     @classmethod
@@ -78,8 +78,7 @@ class FormalComplex:
         return FormalComplex(tuple(sorted(by_shift.items(), key=lambda p: -p[0])))
 
 
-@dataclass(frozen=True)
-class DecomposedFactor:
+class DecomposedFactor(NamedTuple):
     shift: int
     factor: QuiverRep
     key: PhaseKey
@@ -127,8 +126,7 @@ def phi_bounds(fc: FormalComplex, S: StabilityConditionHandle,
     return factors[-1].key, factors[0].key
 
 
-@dataclass(frozen=True)
-class PhaseInterval:
+class PhaseInterval(NamedTuple):
     """Interval with exact direction endpoints (PhaseKeys), open or closed."""
 
     lo: PhaseKey
@@ -154,8 +152,7 @@ def in_interval(fc: FormalComplex, S: StabilityConditionHandle, interval: PhaseI
     return interval.admits_lower(lo_key) and interval.admits_upper(hi_key)
 
 
-@dataclass(frozen=True)
-class ObjectDrift:
+class ObjectDrift(NamedTuple):
     label: str
     lo_diff: float
     hi_diff: float
@@ -165,8 +162,7 @@ class ObjectDrift:
         return max(abs(self.lo_diff), abs(self.hi_diff))
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     value: float
     rows: tuple[ObjectDrift, ...]
     kind: str = "lower_bound"
@@ -197,15 +193,13 @@ def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
     return DistanceReport(max(r.value for r in rows), tuple(rows))
 
 
-@dataclass(frozen=True)
-class ContainmentRow:
+class ContainmentRow(NamedTuple):
     label: str
     upper_excess: float  # phi+ - (psi + eps); <= 0 when inside
     lower_excess: float  # (psi - eps) - phi-; <= 0 when inside
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     ok: bool
     rows: tuple[ContainmentRow, ...]
 

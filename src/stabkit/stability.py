@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import quivrep
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .exactnum import (
     ExactComplex,
+    Frozen,
     PhaseKey,
     QuadScalar,
     cross_sign,
@@ -36,21 +37,21 @@ from .exactnum import (
 from .quivrep import DimVector, QuiverRep, Submodule
 
 
-@dataclass(frozen=True)
-class CentralCharge:
+class CentralCharge(Frozen):
     """Linear map Z^n -> C fixed by exact upper-half-plane values on simples."""
 
-    values: tuple[ExactComplex, ...]
+    __slots__ = ("values", "_phases")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[ExactComplex, ...]):
+        object.__setattr__(self, "values", values)
+        if not values:
             raise StabilityFunctionError("charge needs at least one value")
-        for i, z in enumerate(self.values):
+        for i, z in enumerate(values):
             if not in_strict_upper_half(z):
                 raise StabilityFunctionError(
                     f"charge value {i + 1} = {z!r} is outside the strict upper half-plane"
                 )
-        ds = {s.d for z in self.values for s in (z.re, z.im) if isinstance(s, QuadScalar)}
+        ds = {s.d for z in values for s in (z.re, z.im) if isinstance(s, QuadScalar)}
         if len(ds) > 1:
             raise UnsupportedScalarError(f"charge mixes quadratic extensions {sorted(ds)}")
         object.__setattr__(self, "_phases", {})  # phase memo keyed by class; outside ==, hash and repr
@@ -94,8 +95,7 @@ def phase(alpha: DimVector, Z: CentralCharge) -> PhaseKey:
     return got
 
 
-@dataclass(frozen=True)
-class SemistabilityCertificate:
+class SemistabilityCertificate(NamedTuple):
     verdict: str  # "semistable" | "unstable"
     witness: Submodule | None = None
     witness_phase: PhaseKey | None = None
@@ -148,26 +148,27 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
     return SemistabilityCertificate("semistable", None, None, own)
 
 
-@dataclass(frozen=True)
-class HNFiltration:
+class HNFiltration(Frozen):
     """Chain 0 = E_0 < E_1 < ... < E_n = E with semistable factors of
     strictly descending phase."""
 
-    rep: QuiverRep
-    chain: tuple[Submodule, ...]
-    factors: tuple[QuiverRep, ...]
-    phases: tuple[PhaseKey, ...]
+    __slots__ = ("rep", "chain", "factors", "phases")
 
-    def __post_init__(self):
-        for i in range(1, len(self.phases)):
-            if self.phases[i - 1].cmp(self.phases[i]) <= 0:
+    def __init__(self, rep: QuiverRep, chain: tuple[Submodule, ...], factors: tuple[QuiverRep, ...],
+                 phases: tuple[PhaseKey, ...]):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "phases", phases)
+        for i in range(1, len(phases)):
+            if phases[i - 1].cmp(phases[i]) <= 0:
                 raise InvariantViolation("filtration phases are not strictly descending")
-        total = tuple(0 for _ in self.rep.dims)
-        for f in self.factors:
+        total = tuple(0 for _ in rep.dims)
+        for f in factors:
             total = quivrep.dim_add(total, f.dims)
-        if total != self.rep.dims:
+        if total != rep.dims:
             raise InvariantViolation("factor dimension vectors do not sum to the total")
-        for a, b in zip(self.chain, self.chain[1:]):
+        for a, b in zip(chain, chain[1:]):
             if not b.contains(a):
                 raise InvariantViolation("filtration chain is not ascending")
 
@@ -286,14 +287,10 @@ def hn_filtration_mdq(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAU
     return filt
 
 
-@dataclass(frozen=True)
-class MassEstimate:
+class MassEstimate(NamedTuple):
     value: float
     error_bound: float
     exact: Fraction  # the exact sum of enclosure midpoints that value rounds
-
-    def __float__(self):
-        return self.value
 
 
 def mass(values: list[ExactComplex]) -> MassEstimate:
@@ -316,8 +313,7 @@ def mass(values: list[ExactComplex]) -> MassEstimate:
     return MassEstimate(value, bound, total)
 
 
-@dataclass(frozen=True)
-class DiscretenessReport:
+class DiscretenessReport(NamedTuple):
     verdict: str  # "discrete" | "non_discrete"
     z_rank: int
     real_span_dim: int

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import quivrep, slicing, stability
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
 from .exactnum import (
     EC_I,
     ExactComplex,
+    Frozen,
     PhaseKey,
     QuadScalar,
     ccw_displacement,
@@ -87,18 +88,18 @@ def mat2_apply(T: Mat2, z: ExactComplex) -> ExactComplex:
     )
 
 
-@dataclass(frozen=True)
-class GLtildeElement:
+class GLtildeElement(Frozen):
     """Element of the universal cover of the positive-determinant plane
     group: a rational matrix plus an integer branch index."""
 
-    T: Mat2
-    m: int = 0
+    __slots__ = ("T", "m")
 
-    def __post_init__(self):
-        if mat2_det(self.T) <= 0:
+    def __init__(self, T: Mat2, m: int = 0):
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "m", m)
+        if mat2_det(T) <= 0:
             raise OrientationError(
-                f"plane action requires det > 0, got det = {mat2_det(self.T)}"
+                f"plane action requires det > 0, got det = {mat2_det(T)}"
             )
 
     @classmethod
@@ -174,8 +175,7 @@ def invert(g: GLtildeElement) -> GLtildeElement:
     return GLtildeElement(h.T, -mul_sequential(g, h).m)
 
 
-@dataclass(frozen=True)
-class StabilityConditionHandle:
+class StabilityConditionHandle(Frozen):
     """A stability condition with the module category as reference heart.
 
     This is the package's one stability-condition object.  Every handle
@@ -185,10 +185,14 @@ class StabilityConditionHandle:
     phases are relabeled through g and the charge is T^{-1} of ``charge``.
     """
 
-    quiver: Quiver
-    field: Field
-    charge: CentralCharge
-    g: GLtildeElement = GLtildeElement.identity()
+    __slots__ = ("quiver", "field", "charge", "g")
+
+    def __init__(self, quiver: Quiver, field: Field, charge: CentralCharge,
+                 g: GLtildeElement = GLtildeElement.identity()):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "charge", charge)
+        object.__setattr__(self, "g", g)
 
     def charge2d(self) -> tuple[ExactComplex, ...]:
         return tuple(self.g.transform_charge(z) for z in self.charge.values)
@@ -237,14 +241,12 @@ def charge_matches_key(z: ExactComplex, key: PhaseKey) -> bool:
     return cross_sign(z, vec) == 0 and sign_of(z.re * vec.re + z.im * vec.im) > 0
 
 
-@dataclass(frozen=True)
-class NormRow:
+class NormRow(NamedTuple):
     label: str
     ratio: float
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     value: float
     rows: tuple[NormRow, ...]
     kind: str = "lower_bound"
@@ -310,15 +312,13 @@ def sin_pi_eps_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
     return max(lo, Fraction(0)), hi
 
 
-@dataclass(frozen=True)
-class HypothesisRow:
+class HypothesisRow(NamedTuple):
     label: str
     margin: float  # sin(pi eps)|Z| - |W - Z|, > 0 when the hypothesis holds
     boundary: bool
 
 
-@dataclass(frozen=True)
-class DeformReport:
+class DeformReport(NamedTuple):
     hypothesis: tuple[HypothesisRow, ...]
     drifts: tuple[slicing.ObjectDrift, ...]
     distance: float
@@ -388,8 +388,7 @@ def _float_sqrt_scalar(x) -> float:
     return math.sqrt(max(float(x), 0.0))
 
 
-@dataclass(frozen=True)
-class StabDistanceRow:
+class StabDistanceRow(NamedTuple):
     label: str
     lo_diff: float
     hi_diff: float
@@ -400,8 +399,7 @@ class StabDistanceRow:
         return max(abs(self.lo_diff), abs(self.hi_diff), abs(self.log_mass_ratio))
 
 
-@dataclass(frozen=True)
-class StabDistanceReport:
+class StabDistanceReport(NamedTuple):
     value: float
     rows: tuple[StabDistanceRow, ...]
     kind: str = "lower_bound"
@@ -439,19 +437,19 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
     return StabDistanceReport(max(r.value for r in rows), tuple(rows))
 
 
-@dataclass(frozen=True)
-class ChargePath:
+class ChargePath(Frozen):
     """Entrywise affine path of rational charges; endpoint validity of
     the half-plane condition implies validity along the whole segment
     because imaginary parts are linear in t."""
 
-    start: CentralCharge
-    end: CentralCharge
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.n != self.end.n:
+    def __init__(self, start: CentralCharge, end: CentralCharge):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        if start.n != end.n:
             raise StabkitError("path endpoints have different lengths")
-        for Z in (self.start, self.end):
+        for Z in (start, end):
             for z in Z.values:
                 if isinstance(z.re, QuadScalar) or isinstance(z.im, QuadScalar):
                     raise UnsupportedScalarError("charge paths require rational endpoint charges")
@@ -507,8 +505,7 @@ def cmp_roots(x: RootValue, y: RootValue) -> int:
     return sp * sign_of(p * p - y.b * y.b * y.d)
 
 
-@dataclass(frozen=True)
-class WallEvent:
+class WallEvent(NamedTuple):
     t_exact: RootValue
     alpha: DimVector
     beta: DimVector
@@ -518,8 +515,7 @@ class WallEvent:
         return float(self.t_exact)
 
 
-@dataclass(frozen=True)
-class WallsReport:
+class WallsReport(NamedTuple):
     events: tuple[WallEvent, ...]
     degenerate_pairs: tuple[tuple[DimVector, DimVector], ...]
 
@@ -586,25 +582,19 @@ def chamber_samples(events: tuple[WallEvent, ...]) -> list[Fraction]:
     return samples
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     subject: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checks: tuple[AxiomCheck, ...]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def violations(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
 
 def validate_axioms(sigma: StabilityConditionHandle, testset: list[FormalComplex],

@@ -280,3 +280,26 @@ def test_root_bounds_enclose_quadratic_scalars():
         assert (x - lo).sign() > 0 and (hi - x).sign() > 0
         assert hi - lo <= abs(x.b) * Fraction(2, 2 ** 60)
     assert root_bounds(Fraction(3, 5), 60) == (Fraction(3, 5), Fraction(3, 5))
+
+
+def test_post_init_hook_sees_every_quad_construction(monkeypatch):
+    # a counter replaces the hook on the class, as a tracer does
+    seen = []
+    original = QuadScalar.__post_init__
+
+    def counting(obj):
+        seen.append((obj.a, obj.b, obj.d))
+        original(obj)
+
+    monkeypatch.setattr(QuadScalar, "__post_init__", counting)
+    x = QuadScalar(Fraction(1), 1, 2)
+    assert seen == [(1, 1, 2)]
+    for op, built in ((lambda: x + 1, 2), (lambda: x * x, 1), (lambda: x._coerce(Fraction(1, 2)), 1),
+                      (lambda: solve_alignment(Fraction(-2), Fraction(0), Fraction(1)), 2)):
+        before = len(seen)
+        op()
+        assert len(seen) == before + built
+    assert seen[-2:] == [(0, -1, 2), (0, 1, 2)]  # the roots -sqrt(2) and sqrt(2)
+    with pytest.raises(UnsupportedScalarError):
+        QuadScalar(Fraction(1), Fraction(1), 8)
+    assert seen[-1] == (1, 1, 8)

@@ -160,6 +160,24 @@ def test_cli_walls_imports_no_sympy():
     assert out.stdout.split() == ["[409,", "561]", "False"]
 
 
+IMPORT_COST = """
+import sys
+heavy = {"dataclasses", "inspect"}
+at_start = heavy & set(sys.modules)
+import stabkit.cli
+print(sorted(heavy & set(sys.modules) - at_start))
+"""
+
+
+def test_cli_import_brings_no_dataclasses_or_inspect():
+    # each cold CLI process pays for its imports; these two cost more than a command
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_COST], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]"]
+
+
 def test_cli_walls_auto_pairs(fixture_path):
     code, text = run_cli("--input", str(fixture_path), "walls", "path1", "--pairs", "auto")
     assert code == 0

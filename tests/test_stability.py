@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -61,9 +60,10 @@ def test_phase_memo_is_held_by_the_charge():
     assert phase((1, 2), Z) is p and phase([1, 2], Z) is p
     fresh = phase((1, 2), twin)
     assert fresh is not p and fresh.cmp(p) == 0 and fresh.dir == p.dir
-    # the memo is outside ==, hash, repr and the dataclass fields
+    # the memo is outside ==, hash, repr and the public fields
     assert Z == twin and (repr(Z), hash(Z)) == before == (repr(twin), hash(twin))
-    assert [f.name for f in dataclasses.fields(Z)] == ["values"]
+    assert [name for name in CentralCharge.__slots__ if not name.startswith("_")] == ["values"]
+    assert repr(Z) == f"CentralCharge(values={Z.values!r})" and Z.__reduce__() == (CentralCharge, (Z.values,))
     zi = charge((0, 1), (0, 1))
     for _ in range(3):  # a vanishing class raises on every call and is never stored
         with pytest.raises(ZeroClassError, match="vanishes"):

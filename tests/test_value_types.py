@@ -1,0 +1,125 @@
+"""Value semantics of the package's classes: immutability, equality,
+hashing, repr and pickling.
+
+Value types and validated classes are slots classes on ``exactnum.Frozen``;
+result records are ``typing.NamedTuple``s, which no code compares or
+hashes.  The reprs below are pinned byte for byte.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from stabkit import ellcurve, slicing, stability, stabspace
+from stabkit.exactnum import Displacement, ExactComplex, Frozen, PhaseKey, QuadScalar
+from stabkit.linalg import field_by_name
+from stabkit.quivrep import Arrow, Quiver, QuiverRep
+from stabkit.session import parse_session
+
+from support import ec
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "a2_session.json"
+
+FROZEN = ("QuadScalar", "ExactComplex", "PhaseKey", "Displacement", "Arrow", "Quiver", "QuiverRep", "CentralCharge",
+          "HNFiltration", "FormalComplex", "GLtildeElement", "StabilityConditionHandle", "ChargePath",
+          "NumericalCharge", "SessionDocument")
+RECORDS = ("SemistabilityCertificate", "MassEstimate", "DiscretenessReport", "NormRow", "NormReport", "HypothesisRow",
+           "DeformReport", "StabDistanceRow", "StabDistanceReport", "WallEvent", "WallsReport", "AxiomCheck",
+           "AxiomReport", "DecomposedFactor", "PhaseInterval", "ObjectDrift", "DistanceReport", "ContainmentRow",
+           "ContainmentReport", "NumClass", "ModularReduction", "PathSpec")
+
+
+def representatives():
+    """(instance, pinned repr) for each value type and core validated class;
+    every call builds new, equal instances."""
+    q = QuadScalar(Fraction(1, 2), Fraction(-3), 5)
+    a2 = Quiver(2, (Arrow("a", 1, 2),))
+    t = "((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(1, 1)))"
+    return [
+        (q, "QuadScalar(1/2, -3, d=5)"),
+        (ExactComplex(Fraction(-1), q), "(-1 + (1/2+-3√5)i)"),
+        (ec(Fraction(1, 3), 2), "(1/3 + 2i)"),
+        (PhaseKey(1, ec(-1, 1)), "PhaseKey(k=1, dir=(-1 + 1i), ~1.750000)"),
+        (Displacement(ec(0, -2)), "Displacement(~1.500000, w=(0 + -2i))"),
+        (stability.CentralCharge((ec(-1, 1), ec(1, 1))), "CentralCharge(values=((-1 + 1i), (1 + 1i)))"),
+        (a2, "Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),))"),
+        (QuiverRep(a2, field_by_name("F3"), (1, 1), (((2,),),)),
+         "QuiverRep(quiver=Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),)), field=F3, dims=(1, 1), "
+         "maps=(((2,),),))"),
+        (stabspace.GLtildeElement(stabspace.mat2(1, 2, 0, 1), -1), f"GLtildeElement(T={t}, m=-1)"),
+    ]
+
+
+def every_class_instance() -> dict[str, object]:
+    """One instance of every value type, validated class and result record."""
+    doc = parse_session(FIXTURE.read_text(encoding="utf-8"))
+    labels, testset = doc.testset("basic")
+    Z = doc.charge("Zstd")
+    sigma = stabspace.StabilityConditionHandle(doc.quiver, doc.field, Z)
+    flip = stabspace.StabilityConditionHandle(doc.quiver, doc.field, doc.charge("Zflip"))
+    spec, path = doc.path("path1")
+    g = ellcurve.classify(ellcurve.NumericalCharge(stabspace.mat2(-5, -1, 1, 0)))
+    built = [x for x, _ in representatives()] + [
+        doc, doc.quiver.arrows[0], spec, path, sigma, g,
+        ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
+        stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
+        stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
+        stabspace.norm_sigma(Z.values, sigma, testset, labels),
+        stabspace.deform(sigma, doc.charge("Zpert").values, Fraction(1, 10), testset, labels)[1],
+        stabspace.stab_distance(sigma, flip, testset, labels), stabspace.find_walls(path, list(spec.pairs)),
+        stabspace.validate_axioms(sigma, testset, labels),
+        doc.object("PS"), slicing.hn_decompose(doc.object("PS"), sigma)[0],
+        slicing.PhaseInterval(PhaseKey(0, ec(1, 2)), PhaseKey(0, ec(-1, 2))),
+        slicing.slicing_distance(sigma, flip, testset, labels),
+        slicing.containment_check(sigma, sigma, Fraction(0), testset, labels),
+    ]
+    out = {type(x).__name__: x for x in built}
+    for report in ("NormReport", "StabDistanceReport", "DistanceReport", "ContainmentReport"):
+        out[type(out[report].rows[0]).__name__] = out[report].rows[0]
+    out["HypothesisRow"] = out["DeformReport"].hypothesis[0]
+    out["WallEvent"] = out["WallsReport"].events[0]
+    out["AxiomCheck"] = out["AxiomReport"].checks[0]
+    return out
+
+
+def public_fields(obj) -> tuple:
+    """The values of obj's public fields, in order, as a bare tuple."""
+    names = obj._fields if isinstance(obj, tuple) else [n for n in type(obj).__slots__ if not n.startswith("_")]
+    return tuple(getattr(obj, n) for n in names)
+
+
+def test_every_instance_refuses_assignment_and_deletion():
+    instances = every_class_instance()
+    assert sorted(instances) == sorted(FROZEN + RECORDS)
+    for name, obj in instances.items():
+        assert isinstance(obj, Frozen if name in FROZEN else tuple), name
+        first = obj._fields[0] if name in RECORDS else type(obj).__slots__[0]
+        for attempt in (lambda: setattr(obj, first, None), lambda: setattr(obj, "extra", None),
+                        lambda: delattr(obj, first), lambda: delattr(obj, "extra")):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert not hasattr(obj, "__dict__"), name
+
+
+def test_session_document_is_immutable():
+    doc = parse_session(FIXTURE.read_text(encoding="utf-8"))
+    with pytest.raises(AttributeError, match="SessionDocument is immutable"):
+        doc.reps = {}
+    assert sorted(doc.reps) == ["P", "S1", "S2", "SS"]
+
+
+def test_reprs_equality_hash_and_pickling_are_pinned():
+    for (x, text), (y, _) in zip(representatives(), representatives()):
+        assert repr(x) == repr(y) == text
+        assert x is not y and x == y and not x != y and hash(x) == hash(y)
+        assert pickle.loads(pickle.dumps(x)) == x and copy.copy(x) == x and copy.deepcopy(x) == x
+
+
+def test_compared_classes_never_equal_a_bare_tuple():
+    instances = every_class_instance()
+    for name in FROZEN:
+        fields = public_fields(instances[name])
+        assert instances[name] != fields and fields != instances[name] and instances[name] != list(fields), name
