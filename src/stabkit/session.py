@@ -66,16 +66,17 @@ class SessionDocument(Frozen):
             return self.complexes[name]
         raise UnknownNameError(f"unknown object {name!r}")
 
-    def testset(self, name: str) -> tuple[list[str], list[FormalComplex]]:
-        """Resolve a testset; the reserved name 'all' takes every
-        declared representation and complex in canonical order."""
+    def testset(self, name: str) -> list[tuple[str, FormalComplex]]:
+        """Resolve a testset to (label, object) pairs in declared order,
+        repeats kept; the reserved name 'all' takes every declared
+        representation and complex in canonical order."""
         if name == "all":
             labels = sorted(self.reps) + sorted(self.complexes)
         else:
             if name not in self.testsets:
                 raise UnknownNameError(f"unknown testset {name!r}")
-            labels = list(self.testsets[name])
-        return labels, [self.object(n) for n in labels]
+            labels = self.testsets[name]
+        return [(n, self.object(n)) for n in labels]
 
     def path(self, name: str) -> tuple[PathSpec, ChargePath]:
         if name not in self.paths:

@@ -9,6 +9,7 @@ concatenations of module-level filtrations, one shift at a time.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,8 +43,7 @@ class FormalComplex(Frozen):
         for k, rep in parts:
             if rep.is_zero:
                 raise ZeroObjectError(f"zero representation stored at shift {k}")
-        quivers = {id(rep.quiver) for _, rep in parts}
-        if len({rep.field for _, rep in parts}) > 1 or len(quivers) > 1:
+        if any((rep.quiver, rep.field) != (parts[0][1].quiver, parts[0][1].field) for _, rep in parts[1:]):
             raise FieldMismatchError("formal complex mixes quivers or fields")
 
     @classmethod
@@ -105,10 +105,14 @@ def hn_decompose(fc: FormalComplex, S: StabilityConditionHandle,
     through the handle's plane-action element.  Concatenating over
     descending k keeps the whole list strictly descending because a
     shift moves phases by exactly one and relabeling is monotone; the
-    order is checked once, on the relabeled keys.
+    order is checked once, on the relabeled keys.  The object must live
+    over the handle's quiver and field.
     """
     if fc.is_zero:
         raise ZeroObjectError("the zero object has no decomposition")
+    rep0 = fc.parts[0][1]  # every part shares its quiver and field
+    if (rep0.quiver, rep0.field) != (S.quiver, S.field):
+        raise FieldMismatchError("object and stability condition live over different hearts")
     out: list[DecomposedFactor] = []
     for k, rep in fc.parts:  # already sorted by descending shift
         for factor, key in _module_hn_factors(rep, S.charge, cap):
@@ -152,6 +156,9 @@ def in_interval(fc: FormalComplex, S: StabilityConditionHandle, interval: PhaseI
     return interval.admits_lower(lo_key) and interval.admits_upper(hi_key)
 
 
+Testset = Sequence[tuple[str, FormalComplex]]  # (label, object) pairs
+
+
 class ObjectDrift(NamedTuple):
     label: str
     lo_diff: float
@@ -165,12 +172,10 @@ class ObjectDrift(NamedTuple):
 class DistanceReport(NamedTuple):
     value: float
     rows: tuple[ObjectDrift, ...]
-    kind: str = "lower_bound"
 
 
 def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                     testset: list[FormalComplex], labels: list[str] | None = None,
-                     cap: int = quivrep.DEFAULT_CAP) -> DistanceReport:
+                     testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> DistanceReport:
     """max over the testset of max(|phi+ drift|, |phi- drift|).
 
     A lower bound for the sup-over-all-objects slicing metric.  It sees
@@ -182,55 +187,29 @@ def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
     if not testset:
         raise ZeroObjectError("slicing distance needs a nonempty testset")
     rows = []
-    for i, fc in enumerate(testset):
+    for label, fc in testset:
         lo1, hi1 = phi_bounds(fc, s1, cap)
         lo2, hi2 = phi_bounds(fc, s2, cap)
-        rows.append(ObjectDrift(
-            labels[i] if labels else str(i),
-            phase_diff_float(lo1, lo2),
-            phase_diff_float(hi1, hi2),
-        ))
+        rows.append(ObjectDrift(label, phase_diff_float(lo1, lo2), phase_diff_float(hi1, hi2)))
     return DistanceReport(max(r.value for r in rows), tuple(rows))
 
 
-class ContainmentRow(NamedTuple):
-    label: str
-    upper_excess: float  # phi+ - (psi + eps); <= 0 when inside
-    lower_excess: float  # (psi - eps) - phi-; <= 0 when inside
-
-
-class ContainmentReport(NamedTuple):
-    ok: bool
-    rows: tuple[ContainmentRow, ...]
-
-
 def containment_check(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                      eps: Fraction, testset: list[FormalComplex],
-                      labels: list[str] | None = None,
-                      cap: int = quivrep.DEFAULT_CAP) -> ContainmentReport:
+                      eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> bool:
     """Every testset object, each required to be s2-semistable, must sit
     in the closed eps-band of s1-phases around its s2-phase.
 
-    Comparisons use the same advisory float phase differences as
-    :func:`slicing_distance` (documented error below 2**-40 at desk
-    scale), so distance <= eps implies containment on the same testset
+    Both s2 bounds of such an object are its phase psi, so the drifts of
+    :func:`slicing_distance` are phi+ - psi and phi- - psi, compared with
+    eps as the same advisory floats (documented error below 2**-40 at
+    desk scale); distance <= eps implies containment on the same testset
     by construction.
     """
     if not testset:
         raise ZeroObjectError("containment check needs a nonempty testset")
-    eps_f = float(eps)
-    rows = []
-    ok = True
-    for i, fc in enumerate(testset):
-        label = labels[i] if labels else str(i)
-        factors2 = hn_decompose(fc, s2, cap)
-        if len(factors2) != 1:
+    for label, fc in testset:
+        if len(hn_decompose(fc, s2, cap)) != 1:
             raise ZeroObjectError(f"testset object {label} is not semistable in the reference condition")
-        psi = factors2[0].key
-        lo1, hi1 = phi_bounds(fc, s1, cap)
-        upper = phase_diff_float(hi1, psi) - eps_f
-        lower = -phase_diff_float(lo1, psi) - eps_f
-        rows.append(ContainmentRow(label, upper, lower))
-        if upper > 0 or lower > 0:
-            ok = False
-    return ContainmentReport(ok, tuple(rows))
+    eps_f = float(eps)
+    return all(r.hi_diff <= eps_f and -r.lo_diff <= eps_f
+               for r in slicing_distance(s1, s2, testset, cap).rows)

@@ -46,7 +46,7 @@ from .exactnum import (
 )
 from .linalg import Field
 from .quivrep import DimVector, Quiver
-from .slicing import FormalComplex
+from .slicing import FormalComplex, Testset
 from .stability import CentralCharge
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -215,22 +215,18 @@ class StabilityConditionHandle(Frozen):
 
 
 def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
-           testset: list[FormalComplex] | None = None,
-           cap: int = quivrep.DEFAULT_CAP):
+           testset: Testset = (), cap: int = quivrep.DEFAULT_CAP):
     """Right action on a handle; returns it plus relabeled testset phases.
 
     The semistable objects do not change; only the charge transforms and
-    the phases relabel.  The relabeled list carries one entry for each
-    testset object that is semistable in sigma.
+    the phases relabel.  The relabeled list carries one (label, phase)
+    entry for each testset object that is semistable in sigma, in
+    testset order.
     """
     sigma2 = StabilityConditionHandle(sigma.quiver, sigma.field, sigma.charge,
                                       mul_sequential(sigma.g, g))
-    relabeled = []
-    if testset:
-        for fc in testset:
-            key = sigma.semistable_phase(fc, cap)
-            if key is not None:
-                relabeled.append((fc, sigma2.semistable_phase(fc, cap)))
+    relabeled = [(label, sigma2.semistable_phase(fc, cap)) for label, fc in testset
+                 if sigma.semistable_phase(fc, cap) is not None]
     return sigma2, relabeled
 
 
@@ -241,31 +237,18 @@ def charge_matches_key(z: ExactComplex, key: PhaseKey) -> bool:
     return cross_sign(z, vec) == 0 and sign_of(z.re * vec.re + z.im * vec.im) > 0
 
 
-class NormRow(NamedTuple):
-    label: str
-    ratio: float
-
-
-class NormReport(NamedTuple):
-    value: float
-    rows: tuple[NormRow, ...]
-    kind: str = "lower_bound"
-
-
 def norm_sigma(U: tuple[ExactComplex, ...], sigma: StabilityConditionHandle,
-               testset: list[FormalComplex], labels: list[str] | None = None,
-               cap: int = quivrep.DEFAULT_CAP) -> NormReport:
-    """max |U(E)| / |Z(E)| over sigma-semistable testset objects."""
+               testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> float:
+    """max |U(E)| / |Z(E)| over sigma-semistable testset objects, a
+    finite-testset lower bound for the norm."""
     if not testset:
         raise ZeroObjectError("norm needs a nonempty testset")
     if len(U) != sigma.charge.n:
         raise StabkitError(f"linear map has {len(U)} components, charge expects {sigma.charge.n}")
-    rows = []
-    for i, fc in enumerate(testset):
+    ratios = []
+    for label, fc in testset:
         if sigma.semistable_phase(fc, cap) is None:
-            raise StabkitError(
-                f"testset object {labels[i] if labels else i} is not semistable; the norm only samples semistables"
-            )
+            raise StabkitError(f"testset object {label} is not semistable; the norm only samples semistables")
         alpha = fc.class_vector()
         u = ExactComplex(Fraction(0), Fraction(0))
         for a, comp in zip(alpha, U):
@@ -274,12 +257,11 @@ def norm_sigma(U: tuple[ExactComplex, ...], sigma: StabilityConditionHandle,
         z = sigma.charge_of(alpha)
         ratio_sq = u.abs_squared() / z.abs_squared()
         if sign_of(ratio_sq) == 0:
-            ratio = 0.0
+            ratios.append(0.0)
         else:
             lo, hi = sqrt_bounds(ratio_sq, 70)
-            ratio = float((lo + hi) / 2)
-        rows.append(NormRow(labels[i] if labels else str(i), ratio))
-    return NormReport(max(r.ratio for r in rows), tuple(rows))
+            ratios.append(float((lo + hi) / 2))
+    return max(ratios)
 
 
 _PI_LO = Fraction(31415926535897932384626433832795028841, 10 ** 37)
@@ -315,20 +297,16 @@ def sin_pi_eps_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
 class HypothesisRow(NamedTuple):
     label: str
     margin: float  # sin(pi eps)|Z| - |W - Z|, > 0 when the hypothesis holds
-    boundary: bool
 
 
 class DeformReport(NamedTuple):
     hypothesis: tuple[HypothesisRow, ...]
     drifts: tuple[slicing.ObjectDrift, ...]
     distance: float
-    eps: Fraction
 
 
 def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
-           eps: Fraction, testset: list[FormalComplex],
-           labels: list[str] | None = None,
-           cap: int = quivrep.DEFAULT_CAP):
+           eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP):
     """Heart-preserving charge deformation with a verified conclusion.
 
     Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every testset object
@@ -352,8 +330,7 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
     Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
     hyp_rows = []
-    for i, fc in enumerate(testset):
-        label = labels[i] if labels else str(i)
+    for label, fc in testset:
         if sigma.semistable_phase(fc, cap) is None:
             continue
         alpha = fc.class_vector()
@@ -365,7 +342,7 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
         firm_fail = sign_of(u2 - s_hi * s_hi * z2) >= 0
         margin = _float_sqrt_scalar(z2) * float((s_lo + s_hi) / 2) - _float_sqrt_scalar(u2)
         if holds:
-            hyp_rows.append(HypothesisRow(label, margin, False))
+            hyp_rows.append(HypothesisRow(label, margin))
         elif firm_fail:
             raise HypothesisViolatedError(
                 f"deformation hypothesis fails on {label}: |W-Z| exceeds sin(pi*eps)|Z|"
@@ -376,12 +353,12 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
                 "rejected conservatively", boundary=True,
             )
     tau = StabilityConditionHandle(sigma.quiver, sigma.field, W)
-    dist = slicing.slicing_distance(sigma, tau, testset, labels, cap)
+    dist = slicing.slicing_distance(sigma, tau, testset, cap)
     if not dist.value < float(eps):
         raise InvariantViolation(
             f"deformation conclusion failed: testset slicing distance {dist.value} is not below eps {eps}"
         )
-    return tau, DeformReport(tuple(hyp_rows), dist.rows, dist.value, eps)
+    return tau, DeformReport(tuple(hyp_rows), dist.rows, dist.value)
 
 
 def _float_sqrt_scalar(x) -> float:
@@ -402,12 +379,10 @@ class StabDistanceRow(NamedTuple):
 class StabDistanceReport(NamedTuple):
     value: float
     rows: tuple[StabDistanceRow, ...]
-    kind: str = "lower_bound"
 
 
 def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                  testset: list[FormalComplex], labels: list[str] | None = None,
-                  cap: int = quivrep.DEFAULT_CAP) -> StabDistanceReport:
+                  testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> StabDistanceReport:
     """Finite-testset lower bound for the metric on the space of
     stability conditions: phase drifts plus log mass ratios.
 
@@ -419,17 +394,15 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
     """
     if not testset:
         raise ZeroObjectError("stability-space distance needs a nonempty testset")
-    if s1.quiver != s2.quiver or s1.field != s2.field:
-        raise StabkitError("stability conditions live over different hearts")
     plain1, plain2 = (StabilityConditionHandle(s.quiver, s.field, s.charge) for s in (s1, s2))
     rows = []
-    for i, fc in enumerate(testset):
+    for label, fc in testset:
         f1 = slicing.hn_decompose(fc, plain1, cap)
         f2 = slicing.hn_decompose(fc, plain2, cap)
         m1 = stability.mass([s1.charge_of(f.factor.dims) for f in f1]).exact
         m2 = stability.mass([s2.charge_of(f.factor.dims) for f in f2]).exact
         rows.append(StabDistanceRow(
-            labels[i] if labels else str(i),
+            label,
             phase_diff_float(s2.g.anchored(f2[-1].key), s1.g.anchored(f1[-1].key)),
             phase_diff_float(s2.g.anchored(f2[0].key), s1.g.anchored(f1[0].key)),
             math.log(float(m2 / m1)),
@@ -597,8 +570,7 @@ class AxiomReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def validate_axioms(sigma: StabilityConditionHandle, testset: list[FormalComplex],
-                    labels: list[str] | None = None,
+def validate_axioms(sigma: StabilityConditionHandle, testset: Testset,
                     cap: int = quivrep.DEFAULT_CAP) -> AxiomReport:
     """Testset check of the four defining axioms of a stability condition.
 
@@ -614,8 +586,7 @@ def validate_axioms(sigma: StabilityConditionHandle, testset: list[FormalComplex
     """
     checks = []
     semistables = []
-    for i, fc in enumerate(testset):
-        label = labels[i] if labels else str(i)
+    for label, fc in testset:
         try:
             factors = slicing.hn_decompose(fc, sigma, cap)
             descending = all(a.key.cmp(b.key) > 0 for a, b in zip(factors, factors[1:]))

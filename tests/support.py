@@ -14,6 +14,7 @@ from fractions import Fraction
 from stabkit.exactnum import ExactComplex
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import Arrow, Quiver, QuiverRep
+from stabkit.slicing import FormalComplex
 from stabkit.stability import CentralCharge
 
 A2 = Quiver(2, (Arrow("a", 1, 2),))
@@ -46,6 +47,11 @@ def rep(quiver: Quiver, field, dims, maps_by_name=None) -> QuiverRep:
             M = tuple(tuple(field.zero for _ in range(cols_n)) for _ in range(rows_n))
         maps.append(M)
     return QuiverRep(quiver, field, tuple(dims), tuple(maps))
+
+
+def labelled(reps: dict[str, QuiverRep], names) -> list[tuple[str, FormalComplex]]:
+    """A testset of (name, representation in degree 0) pairs."""
+    return [(n, FormalComplex.of_module(reps[n])) for n in names]
 
 
 def random_rep(rng: random.Random, quiver: Quiver, field, max_total=6, max_per_vertex=4) -> QuiverRep:

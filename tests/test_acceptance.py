@@ -17,7 +17,7 @@ from stabkit.ellcurve import NumClass, charge_of_element, classify, modular_redu
 from stabkit.errors import HypothesisViolatedError
 from stabkit.exactnum import ExactComplex, QuadScalar, normalize_direction
 from stabkit.quivrep import hom_dim, simple_rep
-from stabkit.slicing import FormalComplex, slicing_distance
+from stabkit.slicing import slicing_distance
 from stabkit.stability import (
     CentralCharge,
     check_discreteness,
@@ -41,7 +41,7 @@ from stabkit.stabspace import (
     stab_distance,
 )
 
-from support import A2, F2, charge, ec, instance_stream, random_charge
+from support import A2, F2, charge, ec, instance_stream, labelled, random_charge
 
 TOL_MASS = 2.0 ** -30
 TOL_LOG = 1e-12
@@ -66,10 +66,6 @@ def fuzz_filtrations():
 
 def _ok(name, detail=""):
     print(f"ACCEPTANCE {name}: PASS {detail}")
-
-
-def fc0(r):
-    return FormalComplex.of_module(r)
 
 
 def test_c1_hn_oracle_equivalence():
@@ -208,13 +204,10 @@ def _perturb(rng, Z, scale):
 
 
 def test_c6_deformation_shadow(a2_reps):
-    fixtures = [
-        (charge((-1, 1), (1, 1)), ["S1", "S2", "P"]),
-        (charge((Fraction(-1, 2), 1), (Fraction(1, 3), 2)), ["S1", "S2", "P"]),
-    ]
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    fixtures = [charge((-1, 1), (1, 1)), charge((Fraction(-1, 2), 1), (Fraction(1, 3), 2))]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     total = 0
-    for Z, labels in fixtures:
+    for Z in fixtures:
         sigma = StabilityConditionHandle(A2, F2, Z)
         for eps in (Fraction(1, 20), Fraction(1, 10)):
             rng = random.Random(1006 + int(eps * 1000))
@@ -223,7 +216,7 @@ def test_c6_deformation_shadow(a2_reps):
                 w = _perturb(rng, Z, Fraction(1, 1))
                 while True:
                     try:
-                        tau, report = deform(sigma, w, eps, testset, labels)
+                        tau, report = deform(sigma, w, eps, testset)
                         break
                     except HypothesisViolatedError:
                         w = tuple(
@@ -252,7 +245,7 @@ def _random_element(rng):
 def test_c7_plane_action_laws(a2_reps, z_std):
     rng = random.Random(1007)
     sigma = StabilityConditionHandle(A2, F2, z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     reps = ("S1", "S2", "P", "SS")
     pairs_done = 0
     attempts = 0
@@ -267,8 +260,7 @@ def test_c7_plane_action_laws(a2_reps, z_std):
         cmp_handle, rel_cmp = gl_act(sigma, mul_sequential(g2, g1), testset)
         assert seq.charge2d() == cmp_handle.charge2d()
         assert seq.g.T == cmp_handle.g.T and seq.g.m == cmp_handle.g.m
-        for (f1, k1), (f2, k2) in zip(rel_seq, rel_cmp):
-            assert k1 == k2
+        assert rel_seq == rel_cmp
         Zmid = mid.as_central_charge()
         for name in reps:
             assert is_semistable(a2_reps[name], Zmid).verdict == \
@@ -280,14 +272,15 @@ def test_c7_plane_action_laws(a2_reps, z_std):
                     is_semistable(a2_reps[name], z_std).verdict
         pairs_done += 1
     shifted, rel = gl_act(sigma, GLtildeElement.shift(), testset)
-    for fc, key in rel:
-        assert key == sigma.semistable_phase(fc).shift(1)
+    objects = dict(testset)
+    for label, key in rel:
+        assert key == sigma.semistable_phase(objects[label]).shift(1)
     _ok("7 (plane action laws)", f"100 pairs ({attempts} sampled), shift offsets exact")
 
 
 def test_c8_metric_fixtures(a2_reps, z_std):
     s1 = StabilityConditionHandle(A2, F2, z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     s2, _ = gl_act(s1, GLtildeElement(mat2(2, 0, 0, 2), 0))
     d = stab_distance(s1, s2, testset)
     assert abs(d.value - math.log(2)) < TOL_LOG

@@ -1,5 +1,6 @@
-"""Every public top-level function, class and constant of the package
-must be used somewhere, and no public function may be a bare alias.
+"""Every public top-level function, class and constant of the package,
+and every public method and property of its classes, must be used
+somewhere, and no public function may be a bare alias.
 
 A name counts as used when the syntax tree of a module under
 ``src/stabkit`` or of a file under ``tests/`` loads it, as a plain name
@@ -42,6 +43,18 @@ def public_definitions():
     return out
 
 
+def public_members():
+    """(module path, Class.name) for each public method or property
+    defined in the body of a top-level class."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                out += [(path, f"{node.name}.{m.name}") for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
 def loaded_names():
     """Every name the modules and the tests load."""
     files = MODULES + [p for p in TESTS if p.name != Path(__file__).name]
@@ -63,6 +76,17 @@ def test_definitions_are_found():
 def test_every_public_name_is_used():
     seen = loaded_names()
     dead = [f"{path.stem}.{name}" for path, name in public_definitions() if name not in seen]
+    assert dead == []
+
+
+def test_members_are_found():
+    names = {name for _, name in public_members()}
+    assert {"FormalComplex.shifted", "StabilityConditionHandle.heart_compatible", "PhaseKey.cmp"} <= names
+
+
+def test_every_public_member_is_used():
+    seen = loaded_names()
+    dead = [f"{path.stem}.{name}" for path, name in public_members() if name.split(".")[1] not in seen]
     assert dead == []
 
 

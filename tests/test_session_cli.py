@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import os
 import random
@@ -20,8 +22,9 @@ def test_fixture_loads(fixture_path):
     assert doc.quiver.n == 2
     assert sorted(doc.reps) == ["P", "S1", "S2", "SS"]
     assert len(enumerate_submodules(doc.reps["P"])) == 3
-    labels, objs = doc.testset("all")
-    assert labels == ["P", "S1", "S2", "SS", "PS", "S1up"]
+    pairs = doc.testset("all")
+    assert [label for label, _ in pairs] == ["P", "S1", "S2", "SS", "PS", "S1up"]
+    assert pairs[4][1] is doc.complexes["PS"]
 
 
 def test_cyclic_quiver_rejected():
@@ -220,6 +223,38 @@ def test_cli_glact(fixture_path):
     assert all(r["match"] for r in result["verdict_invariance"])
     phases = {r["object"]: r["phase"]["float_phase"] for r in result["relabeled"]}
     assert phases["P"] == 0.5
+
+
+def test_cli_testset_rows_keep_order_and_repeats(fixture_path, tmp_path):
+    # S1 is listed twice; SS and the complex PS are not semistable under Zstd
+    doc = json.loads(fixture_path.read_text())
+    doc["testsets"]["rep"] = ["S1", "P", "S1", "SS", "PS"]
+    session = tmp_path / "rep.json"
+    session.write_text(json.dumps(doc))
+    every, semistable = ["S1", "P", "S1", "SS", "PS"], ["S1", "P", "S1"]
+
+    def first_column(rows):
+        return [row[0] for row in rows]
+
+    cases = [  # argv, expected labels, labels of the JSON result, labels of the CSV rows
+        (("glact", "Zstd", "--matrix", "2,0,0,2"), semistable,
+         lambda r: [x["object"] for x in r["relabeled"]], first_column),
+        (("metric", "slicing", "Zstd", "Zflip"), every,
+         lambda r: [x["object"] for x in r["objects"]], first_column),
+        (("validate", "Zstd"), every,
+         lambda r: [c["subject"] for c in r["checks"] if c["axiom"] == "d"],
+         lambda rows: [row[1] for row in rows if row[0] == "d"]),
+        (("deform", "Zstd", "Zpert", "--eps", "1/10"), every,
+         lambda r: [x["object"] for x in r["conclusion"]], first_column),
+        (("deform", "Zstd", "Zpert", "--eps", "1/10"), semistable,
+         lambda r: [x["object"] for x in r["hypothesis"]], None),
+    ]
+    for argv, want, json_labels, csv_labels in cases:
+        code, text = run_cli("--input", str(session), *argv, "--testset", "rep")
+        assert code == 0 and json_labels(json.loads(text)["result"]) == want, argv
+        if csv_labels:
+            code, text = run_cli("--input", str(session), "--output", "csv", *argv, "--testset", "rep")
+            assert code == 0 and csv_labels(list(csv.reader(io.StringIO(text)))[1:]) == want, argv
 
 
 def test_cli_discrete(fixture_path):

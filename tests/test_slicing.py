@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stabkit.exactnum import PhaseKey
-from stabkit.quivrep import all_ses, subquotient, zero_submodule
+from stabkit.quivrep import Arrow, Quiver, all_ses, subquotient, zero_submodule
 from stabkit.slicing import (
     FormalComplex,
     PhaseInterval,
@@ -15,9 +15,9 @@ from stabkit.slicing import (
     slicing_distance,
 )
 from stabkit.stabspace import StabilityConditionHandle
-from stabkit.errors import ZeroObjectError
+from stabkit.errors import FieldMismatchError, ZeroObjectError
 
-from support import A2, F2, ec, charge, instance_stream, random_charge
+from support import A2, F2, F3, ec, charge, instance_stream, labelled, random_charge, rep
 
 
 def fc0(rep):
@@ -75,17 +75,17 @@ def test_in_interval_examples(a2_reps, z_std, z_flip):
 
 
 def test_slicing_distance_identity(a2_reps, z_std):
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     rep = slicing_distance(handle(z_std), handle(z_std), testset)
     assert rep.value == 0.0
-    assert rep.kind == "lower_bound"
+    assert [r.label for r in rep.rows] == ["S1", "S2", "P"]
 
 
 def test_slicing_distance_quarter_example(a2_reps):
     z1 = charge((-1, 1), (1, 1))
     z2 = charge((-1, 1), (0, 1))
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
-    rep = slicing_distance(handle(z1), handle(z2), testset, labels=["S1", "S2", "P"])
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
+    rep = slicing_distance(handle(z1), handle(z2), testset)
     assert abs(rep.value - 0.25) < 1e-12  # S2 moves from 1/4 to 1/2
     by_label = {r.label: r for r in rep.rows}
     assert by_label["S1"].value == 0.0
@@ -93,19 +93,20 @@ def test_slicing_distance_quarter_example(a2_reps):
 
 
 def test_containment_examples(a2_reps, z_std):
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     S = handle(z_std)
-    assert containment_check(S, S, Fraction(0), testset).ok
+    assert containment_check(S, S, Fraction(0), testset)
     z2 = charge((-1, 1), (0, 1))
-    rep = containment_check(handle(z2), S, Fraction(1, 4), testset)
-    assert rep.ok  # drift is exactly 1/4 and the band is closed
-    rep2 = containment_check(handle(z2), S, Fraction(1, 5), testset)
-    assert not rep2.ok
+    assert containment_check(handle(z2), S, Fraction(1, 4), testset)  # drift is exactly 1/4, band closed
+    assert not containment_check(handle(z2), S, Fraction(1, 5), testset)
+    # the reference condition must make every testset object semistable
+    with pytest.raises(ZeroObjectError, match="P is not semistable"):
+        containment_check(S, handle(charge((1, 1), (-1, 1))), Fraction(1, 4), testset)
 
 
 def test_distance_implies_containment_on_random_pairs(a2_reps):
     rng = random.Random(77)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     checked = 0
     for _ in range(40):
         za = random_charge(rng, 2)
@@ -116,17 +117,17 @@ def test_distance_implies_containment_on_random_pairs(a2_reps):
         except Exception:
             continue
         # containment requires the testset to be Sb-semistable
-        if any(len(hn_decompose(fc, Sb)) != 1 for fc in testset):
+        if any(len(hn_decompose(fc, Sb)) != 1 for _, fc in testset):
             continue
         eps = Fraction(d.value).limit_denominator(10 ** 6) + Fraction(1, 1000)
-        assert containment_check(Sa, Sb, eps, testset).ok
+        assert containment_check(Sa, Sb, eps, testset)
         checked += 1
     assert checked > 5
 
 
 def test_pseudometric_properties(a2_reps):
     rng = random.Random(78)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P", "SS")]
+    testset = labelled(a2_reps, ("S1", "S2", "P", "SS"))
     for _ in range(25):
         za, zb, zc = (random_charge(rng, 2) for _ in range(3))
         Sa, Sb, Sc = handle(za), handle(zb), handle(zc)
@@ -167,3 +168,24 @@ def test_decompose_idempotent_on_factors(a2_reps, z_flip):
         again = hn_decompose(FormalComplex(((f.shift, f.factor),)), S)
         assert len(again) == 1
         assert again[0].key == f.key
+
+
+def test_formal_complex_accepts_equal_quivers_built_apart(a2_reps, z_std):
+    twin = Quiver(2, (Arrow("a", 1, 2),))
+    assert twin is not A2 and twin == A2
+    fc = FormalComplex(((1, a2_reps["S1"]), (0, rep(twin, F2, (0, 1)))))
+    assert fc.class_vector() == (-1, 1)
+    assert [f.factor.dims for f in hn_decompose(fc, StabilityConditionHandle(twin, F2, z_std))] == [(1, 0), (0, 1)]
+    other = Quiver(2, (Arrow("b", 1, 2),))
+    with pytest.raises(FieldMismatchError):
+        FormalComplex(((1, a2_reps["S1"]), (0, rep(other, F2, (0, 1)))))
+    with pytest.raises(FieldMismatchError):
+        FormalComplex(((1, a2_reps["S1"]), (0, rep(A2, F3, (0, 1)))))
+
+
+def test_decompose_refuses_an_object_over_another_heart(a2_reps, z_std):
+    over_f3 = fc0(rep(A2, F3, (1, 1), {"a": [[1]]}))
+    with pytest.raises(FieldMismatchError):
+        hn_decompose(over_f3, handle(z_std))
+    with pytest.raises(FieldMismatchError):
+        hn_decompose(fc0(a2_reps["P"]), StabilityConditionHandle(A2, F3, z_std))

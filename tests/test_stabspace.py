@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stabkit.errors import (
+    FieldMismatchError,
     HeartChangeUnsupportedError,
     HypothesisViolatedError,
     OrientationError,
@@ -35,7 +36,7 @@ from stabkit.stabspace import (
     validate_axioms,
 )
 
-from support import A2, F2, charge, ec, random_charge
+from support import A2, F2, F3, charge, ec, labelled, random_charge
 
 
 def fc0(r):
@@ -65,11 +66,12 @@ def test_det_positive_required():
 
 def test_scalar_action_keeps_phases(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     sigma2, relabeled = gl_act(sigma, GLtildeElement(mat2(2, 0, 0, 2), 0), testset)
     assert sigma2.charge2d() == tuple(z.scale(Fraction(1, 2)) for z in z_std.values)
     assert sigma2.heart_compatible
-    for (fc, key), want in zip(relabeled, testset):
+    assert [label for label, _ in relabeled] == ["S1", "S2", "P"]
+    for (_, key), (_, want) in zip(relabeled, testset):
         assert key == sigma.semistable_phase(want)
     # verdicts computed directly from the transformed charge agree
     Z2 = sigma2.as_central_charge()
@@ -79,26 +81,25 @@ def test_scalar_action_keeps_phases(a2_reps, z_std):
 
 def test_shift_action_axiom_b(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     sigma2, relabeled = gl_act(sigma, GLtildeElement.shift(), testset)
     assert sigma2.charge2d() == tuple(-z for z in z_std.values)
     assert not sigma2.heart_compatible
-    for fc, key in relabeled:
-        base = sigma.semistable_phase(fc)
-        assert key == base.shift(1)
+    objects = dict(testset)
+    for label, key in relabeled:
+        assert key == sigma.semistable_phase(objects[label]).shift(1)
 
 
 def test_rotation_twice_equals_composition(a2_reps, z_std):
     rot = GLtildeElement(mat2(0, -1, 1, 0), 0)
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     once, _ = gl_act(sigma, rot, testset)
     twice, rel_seq = gl_act(once, rot, testset)
     combined, rel_comp = gl_act(sigma, mul_sequential(rot, rot), testset)
     assert twice.charge2d() == combined.charge2d()
     assert twice.g.T == combined.g.T and twice.g.m == combined.g.m
-    for (f1, k1), (f2, k2) in zip(rel_seq, rel_comp):
-        assert k1 == k2
+    assert rel_seq == rel_comp
 
 
 def test_product_examples():
@@ -128,15 +129,14 @@ def test_product_associative_and_invertible_random():
 def test_action_composition_compatibility_random(a2_reps, z_std):
     rng = random.Random(502)
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     for _ in range(40):
         g1, g2 = random_element(rng), random_element(rng)
         s_seq, rel_seq = gl_act(*gl_act(sigma, g2, testset)[:1], g1, testset)
         s_cmp, rel_cmp = gl_act(sigma, mul_sequential(g2, g1), testset)
         assert s_seq.charge2d() == s_cmp.charge2d()
         assert s_seq.g.T == s_cmp.g.T and s_seq.g.m == s_cmp.g.m
-        for (f1, k1), (f2, k2) in zip(rel_seq, rel_cmp):
-            assert k1 == k2
+        assert rel_seq == rel_cmp
 
 
 def test_relabel_monotone_random():
@@ -161,21 +161,19 @@ def test_relabel_monotone_random():
 def test_norm_requires_semistable_testset(a2_reps, z_flip):
     sigma = handle(z_flip)
     with pytest.raises(StabkitError, match="not semistable"):
-        norm_sigma(z_flip.values, sigma, [fc0(a2_reps["P"])], labels=["P"])
+        norm_sigma(z_flip.values, sigma, labelled(a2_reps, ("P",)))
 
 
 def test_norm_examples(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
-    rep_z = norm_sigma(z_std.values, sigma, testset)
-    assert abs(rep_z.value - 1.0) < 1e-12
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
+    assert abs(norm_sigma(z_std.values, sigma, testset) - 1.0) < 1e-12
     zero = (ec(0, 0), ec(0, 0))
-    assert norm_sigma(zero, sigma, testset).value == 0.0
+    assert norm_sigma(zero, sigma, testset) == 0.0
     w = charge((-1, 1), (1, Fraction(11, 10)))
     u = tuple(a - b for a, b in zip(w.values, z_std.values))
-    rep_u = norm_sigma(u, sigma, testset)
     lo, _ = sin_pi_eps_bounds(Fraction(1, 10))
-    assert rep_u.value < float(lo)
+    assert norm_sigma(u, sigma, testset) < float(lo)
 
 
 def test_sin_bounds_sane():
@@ -192,7 +190,7 @@ def test_sin_bounds_sane():
 
 def test_deform_identity(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     tau, report = deform(sigma, z_std.values, Fraction(1, 10), testset)
     assert report.distance == 0.0
     assert tau.charge == z_std
@@ -200,9 +198,9 @@ def test_deform_identity(a2_reps, z_std):
 
 def test_deform_fixture(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     w = charge((-1, 1), (1, Fraction(11, 10)))
-    tau, report = deform(sigma, w.values, Fraction(1, 10), testset, labels=["S1", "S2", "P"])
+    tau, report = deform(sigma, w.values, Fraction(1, 10), testset)
     assert report.distance < 0.1
     assert all(r.margin > 0 for r in report.hypothesis)
     assert tau.charge == w
@@ -214,7 +212,7 @@ def test_deform_across_wall(a2_reps):
     z = charge((Fraction(-1, 10), 1), (0, 1))
     w = charge((Fraction(1, 10), 1), (0, 1))
     sigma = StabilityConditionHandle(A2, F2, z)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     assert is_semistable(a2_reps["P"], z).is_semistable
     assert not is_semistable(a2_reps["P"], w).is_semistable
     tau, report = deform(sigma, w.values, Fraction(1, 10), testset)
@@ -223,15 +221,15 @@ def test_deform_across_wall(a2_reps):
 
 def test_deform_hypothesis_violation(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     w = charge((-1, 1), (1, 3))
     with pytest.raises(HypothesisViolatedError, match="S2"):
-        deform(sigma, w.values, Fraction(1, 20), testset, labels=["S1", "S2", "P"])
+        deform(sigma, w.values, Fraction(1, 20), testset)
 
 
 def test_deform_heart_change_rejected(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps["S1"])]
+    testset = labelled(a2_reps, ("S1",))
     bad = (ec(-1, 1), ec(1, -1))
     with pytest.raises(HeartChangeUnsupportedError):
         deform(sigma, bad, Fraction(1, 10), testset)
@@ -239,14 +237,14 @@ def test_deform_heart_change_rejected(a2_reps, z_std):
 
 def test_deform_eps_range(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps["S1"])]
+    testset = labelled(a2_reps, ("S1",))
     with pytest.raises(StabkitError):
         deform(sigma, z_std.values, Fraction(1, 4), testset)
 
 
 def test_stab_distance_identity_and_scaling(a2_reps, z_std):
     s1 = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     assert stab_distance(s1, s1, testset).value == 0.0
     s2, _ = gl_act(s1, GLtildeElement(mat2(2, 0, 0, 2), 0))
     d = stab_distance(s1, s2, testset)
@@ -257,18 +255,18 @@ def test_stab_distance_identity_and_scaling(a2_reps, z_std):
 
 def test_stab_distance_shift(a2_reps, z_std):
     s1 = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     s2, _ = gl_act(s1, GLtildeElement.shift())
     d = stab_distance(s1, s2, testset)
     assert d.value == 1.0
     sl = slicing_distance(s1, s2, testset)
     assert sl.value == 1.0
-    assert not containment_check(s1, s2, Fraction(1, 2), testset).ok
+    assert not containment_check(s1, s2, Fraction(1, 2), testset)
 
 
 def test_stab_pseudometric_random(a2_reps):
     rng = random.Random(504)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P")]
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
     for _ in range(15):
         za, zb, zc = (random_charge(rng, 2) for _ in range(3))
         sa, sb, sc = handle(za), handle(zb), handle(zc)
@@ -278,6 +276,15 @@ def test_stab_pseudometric_random(a2_reps):
         dac = stab_distance(sa, sc, testset).value
         dcb = stab_distance(sc, sb, testset).value
         assert dab <= dac + dcb + 1e-9
+
+
+def test_distances_refuse_conditions_over_different_hearts(a2_reps, z_std):
+    testset = labelled(a2_reps, ("S1", "P"))
+    over_f3 = StabilityConditionHandle(A2, F3, z_std)
+    for distance in (slicing_distance, stab_distance):
+        for s1, s2 in ((handle(z_std), over_f3), (over_f3, handle(z_std))):
+            with pytest.raises(FieldMismatchError):
+                distance(s1, s2, testset)
 
 
 def test_semistable_set_invariance_random(a2_reps, z_std):
@@ -398,9 +405,9 @@ def test_path_requires_rational_charges():
 
 def test_validate_axioms_pass(a2_reps, z_std):
     sigma = handle(z_std)
-    testset = [fc0(a2_reps[n]) for n in ("S1", "S2", "P", "SS")]
-    testset.append(FormalComplex(((1, a2_reps["S1"]), (0, a2_reps["S2"]))))
-    report = validate_axioms(sigma, testset, labels=["S1", "S2", "P", "SS", "mix"])
+    testset = labelled(a2_reps, ("S1", "S2", "P", "SS"))
+    testset.append(("mix", FormalComplex(((1, a2_reps["S1"]), (0, a2_reps["S2"])))))
+    report = validate_axioms(sigma, testset)
     assert report.ok
     axioms = {c.axiom for c in report.checks}
     assert axioms == {"a", "b", "c", "d"}
@@ -420,8 +427,7 @@ def test_axiom_a_negative_control(z_std):
 def test_axiom_b_on_shifted_pair(a2_reps, z_std):
     sigma = handle(z_std)
     m = fc0(a2_reps["P"])
-    testset = [m, m.shifted(1)]
-    report = validate_axioms(sigma, testset, labels=["P", "P[1]"])
+    report = validate_axioms(sigma, [("P", m), ("P[1]", m.shifted(1))])
     assert report.ok
     k0 = sigma.semistable_phase(m)
     k1 = sigma.semistable_phase(m.shifted(1))

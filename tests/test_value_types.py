@@ -26,10 +26,10 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "a2_session.json
 FROZEN = ("QuadScalar", "ExactComplex", "PhaseKey", "Displacement", "Arrow", "Quiver", "QuiverRep", "CentralCharge",
           "HNFiltration", "FormalComplex", "GLtildeElement", "StabilityConditionHandle", "ChargePath",
           "NumericalCharge", "SessionDocument")
-RECORDS = ("SemistabilityCertificate", "MassEstimate", "DiscretenessReport", "NormRow", "NormReport", "HypothesisRow",
-           "DeformReport", "StabDistanceRow", "StabDistanceReport", "WallEvent", "WallsReport", "AxiomCheck",
-           "AxiomReport", "DecomposedFactor", "PhaseInterval", "ObjectDrift", "DistanceReport", "ContainmentRow",
-           "ContainmentReport", "NumClass", "ModularReduction", "PathSpec")
+RECORDS = ("SemistabilityCertificate", "MassEstimate", "DiscretenessReport", "HypothesisRow", "DeformReport",
+           "StabDistanceRow", "StabDistanceReport", "WallEvent", "WallsReport", "AxiomCheck", "AxiomReport",
+           "DecomposedFactor", "PhaseInterval", "ObjectDrift", "DistanceReport", "NumClass", "ModularReduction",
+           "PathSpec")
 
 
 def representatives():
@@ -56,7 +56,7 @@ def representatives():
 def every_class_instance() -> dict[str, object]:
     """One instance of every value type, validated class and result record."""
     doc = parse_session(FIXTURE.read_text(encoding="utf-8"))
-    labels, testset = doc.testset("basic")
+    testset = doc.testset("basic")
     Z = doc.charge("Zstd")
     sigma = stabspace.StabilityConditionHandle(doc.quiver, doc.field, Z)
     flip = stabspace.StabilityConditionHandle(doc.quiver, doc.field, doc.charge("Zflip"))
@@ -67,17 +67,15 @@ def every_class_instance() -> dict[str, object]:
         ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
-        stabspace.norm_sigma(Z.values, sigma, testset, labels),
-        stabspace.deform(sigma, doc.charge("Zpert").values, Fraction(1, 10), testset, labels)[1],
-        stabspace.stab_distance(sigma, flip, testset, labels), stabspace.find_walls(path, list(spec.pairs)),
-        stabspace.validate_axioms(sigma, testset, labels),
+        stabspace.deform(sigma, doc.charge("Zpert").values, Fraction(1, 10), testset)[1],
+        stabspace.stab_distance(sigma, flip, testset), stabspace.find_walls(path, list(spec.pairs)),
+        stabspace.validate_axioms(sigma, testset),
         doc.object("PS"), slicing.hn_decompose(doc.object("PS"), sigma)[0],
         slicing.PhaseInterval(PhaseKey(0, ec(1, 2)), PhaseKey(0, ec(-1, 2))),
-        slicing.slicing_distance(sigma, flip, testset, labels),
-        slicing.containment_check(sigma, sigma, Fraction(0), testset, labels),
+        slicing.slicing_distance(sigma, flip, testset),
     ]
     out = {type(x).__name__: x for x in built}
-    for report in ("NormReport", "StabDistanceReport", "DistanceReport", "ContainmentReport"):
+    for report in ("StabDistanceReport", "DistanceReport"):
         out[type(out[report].rows[0]).__name__] = out[report].rows[0]
     out["HypothesisRow"] = out["DeformReport"].hypothesis[0]
     out["WallEvent"] = out["WallsReport"].events[0]
