@@ -10,7 +10,6 @@ genus-one curve.
 """
 
 from .exactnum import (
-    Displacement,
     ExactComplex,
     PhaseKey,
     QuadScalar,

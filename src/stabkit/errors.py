@@ -61,15 +61,8 @@ class ProportionalPairError(StabkitError):
 
 
 class HypothesisViolatedError(StabkitError):
-    """Deformation hypothesis fails (or is undecidable at the boundary).
-
-    ``boundary`` is True when the margin was inside the certified rounding
-    band and the request was rejected conservatively.
-    """
-
-    def __init__(self, message: str, boundary: bool = False):
-        self.boundary = boundary
-        super().__init__(message)
+    """Deformation hypothesis fails, or its margin lies inside the certified
+    rounding band and the request is rejected conservatively."""
 
 
 class HeartChangeUnsupportedError(StabkitError):

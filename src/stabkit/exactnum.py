@@ -5,7 +5,10 @@ Scalars are either ``fractions.Fraction`` or :class:`QuadScalar` values
 stored as real numbers: a :class:`PhaseKey` is an integer plus a nonzero
 direction with argument in ``(0, pi]``, which supports every comparison
 the rest of the package needs without ever evaluating ``arg`` or ``pi``.
-Floats appear only in advisory output fields.
+Every angle is a PhaseKey: a counterclockwise displacement between two
+rays (:func:`ccw_displacement`) is one with value in [0, 2), and
+:meth:`PhaseKey.plus` adds two phases exactly.  Floats appear only in
+advisory output fields.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .errors import UnsupportedScalarError
 
 # Largest trial divisor squarefree_split tries: about 5*10**5 divisions.
 SPLIT_BUDGET = 10**6
+# Largest numerator and denominator of a parsed literal (session scalars,
+# --matrix, --eps).  A report's advisory float takes at most 16 such
+# factors (a phase relabeled by a matrix of least determinant), so it
+# stays below about 10**250, inside the float range.
+MAX_LITERAL = 10**15
 
 
 @lru_cache(maxsize=1024)
@@ -350,30 +358,7 @@ def in_strict_upper_half(z: ExactComplex) -> bool:
     return False
 
 
-class _Ordered(Frozen):
-    """Equality and order by ``cmp``, within one class; each subclass has its own hash."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.cmp(other) == 0
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
-
-
-class PhaseKey(_Ordered):
+class PhaseKey(Frozen):
     """Exact phase ``k + arg(dir)/pi`` with ``arg(dir)`` in ``(0, pi]``.
 
     The pair (integer, direction) is the only phase representation in the
@@ -397,6 +382,23 @@ class PhaseKey(_Ordered):
         # both args in (0, pi]: positive cross means self's arg is smaller
         return -cross_sign(self.dir, other.dir)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.cmp(other) == 0
+
+    def __lt__(self, other):
+        return self.cmp(other) < 0
+
+    def __le__(self, other):
+        return self.cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self.cmp(other) > 0
+
+    def __ge__(self, other):
+        return self.cmp(other) >= 0
+
     def __hash__(self):
         return hash(self.k)
 
@@ -414,22 +416,16 @@ class PhaseKey(_Ordered):
             t -= 1
         return t
 
-    def add_displacement(self, disp: "Displacement") -> "PhaseKey":
-        """The phase value ``self + disp`` with disp in [0, 2), exactly.
-
-        Multiplying the direction by the displacement witness adds the
-        arguments; the integer part is fixed by which half-plane the
-        product lands in together with the displacement's sector.
-        """
-        s = disp.sector
-        if s == 0:
-            return self
-        if s == 2:
-            return PhaseKey(self.k + 1, self.dir)
-        u = self.dir * disp.w
+    def plus(self, other: "PhaseKey") -> "PhaseKey":
+        """The phase ``self + other``, exactly: the directions multiply.  An
+        integer ``other`` (direction on the negative real axis) keeps
+        ``self.dir``, as :meth:`shift` does, and a zero one returns self."""
+        if other.dir.im == 0:
+            return self if other.k == -1 else PhaseKey(self.k + other.k + 1, self.dir)
+        u = self.dir * other.dir
         if in_strict_upper_half(u):
-            return PhaseKey(self.k + (0 if s == 1 else 2), u)
-        return PhaseKey(self.k + 1, -u)
+            return PhaseKey(self.k + other.k, u)
+        return PhaseKey(self.k + other.k + 1, -u)
 
     def float_value(self) -> float:
         re, im = self.dir.to_floats()
@@ -453,79 +449,24 @@ def normalize_direction(z: ExactComplex) -> PhaseKey:
     return PhaseKey(-1, -z)
 
 
-class Displacement(_Ordered):
-    """Counterclockwise angular displacement in [0, 2) half-turns.
-
-    Stored as a nonzero witness vector ``w`` whose argument (mod 2*pi) is
-    pi times the displacement.  Sectors: 0 on the positive real axis
-    (displacement 0), 1 in the open upper half-plane (in (0,1)), 2 on the
-    negative real axis (exactly 1), 3 in the open lower half-plane
-    (in (1,2)).  Comparisons are sector order plus a cross-product sign.
-    """
-
-    __slots__ = ("w",)
-
-    def __init__(self, w: ExactComplex):
-        if w.is_zero:
-            raise ValueError("displacement witness must be nonzero")
-        _set_w(self, w)
-
-    @property
-    def sector(self) -> int:
-        si = sign_of(self.w.im)
-        if si > 0:
-            return 1
-        if si < 0:
-            return 3
-        return 0 if sign_of(self.w.re) > 0 else 2
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sector == 0
-
-    def cmp(self, other: "Displacement") -> int:
-        s1, s2 = self.sector, other.sector
-        if s1 != s2:
-            return -1 if s1 < s2 else 1
-        if s1 in (0, 2):
-            return 0
-        return -cross_sign(self.w, other.w)
-
-    def __hash__(self):
-        return hash(self.sector)
-
-    def plus(self, other: "Displacement") -> "Displacement":
-        """Sum modulo 2 (arguments of witnesses add under multiplication)."""
-        return Displacement(self.w * other.w)
-
-    def float_value(self) -> float:
-        s = self.sector
-        if s == 0:
-            return 0.0
-        if s == 2:
-            return 1.0
-        re, im = self.w.to_floats()
-        return math.atan2(im, re) / math.pi % 2.0
-
-    def __repr__(self):
-        return f"Displacement(~{self.float_value():.6f}, w={self.w!r})"
-
-
 # The value types' constructors store through the slot descriptors: the
 # cheapest store that their refusal of attribute assignment leaves.
 _set_a, _set_b, _set_d = QuadScalar.a.__set__, QuadScalar.b.__set__, QuadScalar.d.__set__
 _set_re, _set_im = ExactComplex.re.__set__, ExactComplex.im.__set__
 _set_k, _set_dir = PhaseKey.k.__set__, PhaseKey.dir.__set__
-_set_w = Displacement.w.__set__
 
 EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 
-def ccw_displacement(d1: ExactComplex, d2: ExactComplex) -> Displacement:
-    """Counterclockwise displacement from ray(d1) to ray(d2), in [0, 2)."""
+def ccw_displacement(d1: ExactComplex, d2: ExactComplex) -> PhaseKey:
+    """Counterclockwise displacement from ray(d1) to ray(d2): the phase
+    of ``w = d2 * conj(d1)`` taken in [0, 2)."""
     if d1.is_zero or d2.is_zero:
         raise ValueError("displacement of a zero vector")
-    return Displacement(d2 * d1.conj())
+    w = d2 * d1.conj()
+    if in_strict_upper_half(w):
+        return PhaseKey(0, w)
+    return PhaseKey(-1 if w.im == 0 else 1, -w)
 
 
 def phase_key_anchor(u: ExactComplex, m: int) -> PhaseKey:
@@ -534,17 +475,14 @@ def phase_key_anchor(u: ExactComplex, m: int) -> PhaseKey:
 
     This pins branches for the plane-action bookkeeping: the window has
     length exactly 2, so the value exists and is unique for any nonzero u.
+    Off the upper half-plane the key stores -u: k is 2m + 1 for arg(u) in
+    (pi, 3pi/2] and 2m - 1 for the rest, the positive real axis included.
     """
     if u.is_zero:
         raise ValueError("anchor direction must be nonzero")
     if in_strict_upper_half(u):
         return PhaseKey(2 * m, u)  # arg in (0, pi]
-    si, sr = sign_of(u.im), sign_of(u.re)
-    if si == 0 and sr > 0:
-        return PhaseKey(2 * m - 1, -u)  # value exactly 2m
-    if si < 0 and sr <= 0:
-        return PhaseKey(2 * m + 1, -u)  # arg in (pi, 3pi/2]
-    return PhaseKey(2 * m - 1, -u)  # arg in (3pi/2, 2pi)
+    return PhaseKey(2 * m + (1 if sign_of(u.im) < 0 and sign_of(u.re) <= 0 else -1), -u)
 
 
 def phase_diff_float(p: PhaseKey, q: PhaseKey) -> float:
@@ -561,12 +499,24 @@ def phase_diff_float(p: PhaseKey, q: PhaseKey) -> float:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse an integer or 'a/b' token into a Fraction."""
+    """Parse an integer, 'a/b' or decimal token into a Fraction whose
+    numerator and denominator are at most MAX_LITERAL in magnitude."""
     if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
+        q = Fraction(text)
+    elif isinstance(text, str):
+        token = text.strip()
+        # Fraction builds 10**exponent before any bound could be checked
+        if len(token.lower().partition("e")[2].lstrip("+-")) > 3:
+            raise UnsupportedScalarError(f"bad rational literal {text!r}: exponent out of range")
         try:
-            return Fraction(text.strip())
+            q = Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise UnsupportedScalarError(f"bad rational literal {text!r}: {exc}") from None
-    raise UnsupportedScalarError(f"bad rational literal {text!r}")
+    else:
+        raise UnsupportedScalarError(f"bad rational literal {text!r}")
+    if abs(q.numerator) > MAX_LITERAL or q.denominator > MAX_LITERAL:
+        raise UnsupportedScalarError(
+            f"rational literal {text!r} is out of range: its numerator and denominator "
+            f"must be at most {MAX_LITERAL} in magnitude"
+        )
+    return q

@@ -88,9 +88,9 @@ class RationalField:
         return 1 / Fraction(x)
 
     def coerce(self, v) -> Fraction:
-        if isinstance(v, (int, Fraction)):
-            return Fraction(v)
-        if isinstance(v, str):
+        if isinstance(v, Fraction):
+            return v
+        if isinstance(v, (int, str)):
             return parse_rational(v)
         raise UnsupportedScalarError(f"entries over Q must be integers or 'a/b' strings, got {v!r}")
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .errors import SchemaError, UnknownNameError
+from .errors import SchemaError, UnknownNameError, UnsupportedScalarError
 from .exactnum import ExactComplex, Frozen, QuadScalar, fmt_scalar, parse_rational
 from .quivrep import Arrow, DimVector, Quiver, QuiverRep
 from .slicing import FormalComplex
@@ -24,6 +24,7 @@ MAX_D = 10**12
 # Largest accepted dimension at a vertex: an omitted arrow matrix is built
 # as a zero matrix with dims[tgt] * dims[src] entries.
 MAX_DIM = 10**3
+# Scalar literals are bounded in exactnum.parse_rational, by MAX_LITERAL.
 
 
 class PathSpec(NamedTuple):
@@ -165,12 +166,19 @@ def _parse_d(doc: dict, pointer: str) -> int | None:
     return quad_d
 
 
+def _parse_rational_at(raw, pointer: str) -> Fraction:
+    try:
+        return parse_rational(raw)
+    except UnsupportedScalarError as exc:
+        raise SchemaError(pointer, str(exc)) from None
+
+
 def _parse_scalar(raw, pointer: str, quad_d: int | None):
     if isinstance(raw, dict):
         if quad_d is None:
             raise SchemaError(pointer, "quadratic scalar used but the document declares no D")
-        a = parse_rational(raw.get("a", 0))
-        b = parse_rational(raw.get("b", 0))
+        a = _parse_rational_at(raw.get("a", 0), pointer + "/a")
+        b = _parse_rational_at(raw.get("b", 0), pointer + "/b")
         extra = set(raw) - {"a", "b"}
         if extra:
             raise SchemaError(pointer, f"unknown scalar fields {sorted(extra)}")
@@ -178,7 +186,7 @@ def _parse_scalar(raw, pointer: str, quad_d: int | None):
             return a
         return QuadScalar(a, b, quad_d)
     if isinstance(raw, (int, str)):
-        return parse_rational(raw)
+        return _parse_rational_at(raw, pointer)
     raise SchemaError(pointer, f"bad scalar {raw!r}")
 
 

@@ -411,6 +411,61 @@ def test_cli_overlong_integer_literal_exit_2(fixture_path, tmp_path):
         parse_charge_document('{"charge": {"z": [], "D": 1' + "0" * 5000 + "}}")
 
 
+def test_cli_largest_literals_exit_0(fixture_path, tmp_path):
+    # advisory floats multiply several literals; at the bound they stay finite
+    from stabkit.exactnum import MAX_LITERAL as M
+
+    big, tiny = str(M), f"1/{M}"
+    doc = json.loads(fixture_path.read_text())
+    large = {"z": [{"re": "-" + big, "im": big}, {"re": big, "im": big}]}
+    doc["charges"].update(
+        Zstd=large, Zpert=large,
+        Zflip={"z": [{"re": tiny, "im": tiny}, {"re": "-" + tiny, "im": tiny}]},
+        Zwall0={"z": [{"re": "-" + big, "im": big}, {"re": "0", "im": tiny}]},
+        Zwall1={"z": [{"re": big, "im": big}, {"re": "0", "im": tiny}]},
+    )
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    matrices = (f"{M},0,0,{M}", f"1/{M},{M},-{M},1/{M}", f"{M - 1},{M},{M - 2},{M - 1}",
+                f"1,{M}/{M - 1},{M - 2}/{M - 1},1")
+    commands = [["--input", str(path), *c] for c in FUZZ_COMMANDS["a2_session.json"] if c[0] != "glact"]
+    commands += [["--input", str(path), "deform", "Zstd", "Zpert", f"--eps=1/{M}", "--testset", "wide"]]
+    commands += [["--input", str(path), "glact", z, f"--matrix={m}", "--testset", "wide"]
+                 for z in ("Zstd", "Zflip") for m in matrices]
+    commands += [["curve", which, f"--matrix={m}"] for which in ("classify", "reduce") for m in matrices]
+    for argv in commands:
+        for output in ("json", "csv"):
+            code, text = cli.run(["--output", output, *argv])
+            assert code == 0, (argv, text)
+
+
+def test_cli_literal_out_of_range_exit_2(fixture_path, tmp_path):
+    from stabkit.exactnum import MAX_LITERAL as M
+
+    over = str(M + 1)
+    for raw, pointer, shown in (("1e400", "/charges/Zstd/z/0/im", "1e400"),
+                                (f"1/{over}", "/charges/Zstd/z/0/im", f"1/{over}"),
+                                ({"a": "0", "b": over}, "/charges/Zstd/z/0/im/b", over)):
+        def mutate(doc):
+            doc["D"] = 2
+            doc["charges"]["Zstd"]["z"][0]["im"] = raw
+
+        code, message = _malformed_fixture_exit(fixture_path, tmp_path, mutate)
+        assert code == 2 and message.startswith(f"at {pointer}: rational literal {shown!r} is out of range"), message
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc.update(field="Q") or doc["reps"]["P"]["maps"].update(a=[[M + 1]]))
+    assert code == 2 and message.startswith(f"at /reps/P/maps/a: rational literal {M + 1} is out of range"), message
+    code, message = _malformed_fixture_exit(
+        fixture_path, tmp_path, lambda doc: doc["charges"]["Zstd"]["z"][0].update(im="1e999999999"))
+    assert code == 2 and message == "at /charges/Zstd/z/0/im: bad rational literal '1e999999999': exponent out of range"
+    for argv in (["curve", "reduce", "--matrix=1e400,0,0,1"], ["curve", "classify", f"--matrix={over},0,0,1"],
+                 ["--input", str(fixture_path), "deform", "Zstd", "Zpert", "--eps=1e-400", "--testset", "basic"]):
+        code, text = cli.run(argv)
+        payload = json.loads(text)
+        assert (code, payload["error"]) == (2, "UnsupportedScalarError"), argv
+        assert "is out of range" in payload["message"]
+
+
 # --- exit-code fuzz: mutated fixtures through every README command ---
 
 FUZZ_COMMANDS = {
@@ -429,7 +484,7 @@ FUZZ_COMMANDS = {
         ["validate", "Zq", "--testset", "basic"],
     ],
 }
-FUZZ_VALUES = (None, True, 1.5, "x", "", {}, [], 0, -1, 10**8, 10**30, -10**30, [[1]], {"a": "1"})
+FUZZ_VALUES = (None, True, 1.5, "x", "", "1e400", {}, [], 0, -1, 10**8, 10**30, -10**30, [[1]], {"a": "1"})
 FUZZ_SECONDS = 2  # per command; a run past it counts as a hang
 
 
@@ -483,7 +538,8 @@ def test_cli_exit_codes_on_mutated_sessions(tmp_path):
     root = Path(__file__).resolve().parent.parent / "fixtures"
     docs = [("a2_session.json", "S2 dims [0, 10**8]",
              lambda doc: doc["reps"]["S2"].update(dims=[0, 10**8])),
-            ("a2_session.json", "10**30 vertices", lambda doc: doc["quiver"].update(vertices=10**30))]
+            ("a2_session.json", "10**30 vertices", lambda doc: doc["quiver"].update(vertices=10**30)),
+            ("a2_session.json", "Zstd im 1e400", lambda doc: doc["charges"]["Zstd"]["z"][0].update(im="1e400"))]
     docs += [(fixture, None, None) for fixture in sorted(FUZZ_COMMANDS) * 50]
     codes = []
     old = signal.signal(signal.SIGALRM, hang)

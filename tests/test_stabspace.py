@@ -12,7 +12,7 @@ from stabkit.errors import (
     ProportionalPairError,
     StabkitError,
 )
-from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar, root_bounds
+from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar, normalize_direction, root_bounds
 from stabkit.slicing import FormalComplex, containment_check, hn_decompose, slicing_distance
 from stabkit.stability import CentralCharge, is_semistable
 from stabkit.stabspace import (
@@ -126,6 +126,41 @@ def test_product_associative_and_invertible_random():
             assert mul_sequential(invert(g), g).is_identity
 
 
+def test_product_relabels_sequentially_on_axis_aligned_elements():
+    """mul_sequential(g1, g2) relabels as g1 and then g2 for +-I, the quarter
+    turns, 2I and the four unit shears on branches -1, 0 and 1, which put
+    reference directions on the axes, on phases along the axes and the
+    diagonals with k from -2 to 2: 29,160 relabelings."""
+    mats = [mat2(1, 0, 0, 1), mat2(-1, 0, 0, -1), mat2(0, -1, 1, 0), mat2(0, 1, -1, 0), mat2(2, 0, 0, 2),
+            mat2(1, 1, 0, 1), mat2(1, -1, 0, 1), mat2(1, 0, 1, 1), mat2(1, 0, -1, 1)]
+    elements = [GLtildeElement(T, m) for T in mats for m in (-1, 0, 1)]
+    phases = [normalize_direction(ec(x, y)).shift(k) for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)
+              for k in range(-2, 3)]
+    # images and products recur, so each distinct relabeling runs once
+    images, slot = [], {}
+
+    def slot_of(q):
+        key = (q.k, q.dir.re, q.dir.im)
+        if key not in slot:
+            slot[key] = len(images)
+            images.append(q)
+        return slot[key]
+
+    first = [[slot_of(g1.relabel(p)) for p in phases] for g1 in elements]
+    second = [[g2.relabel(q) for q in images] for g2 in elements]
+    products = {}
+    checked = 0
+    for a, g1 in enumerate(elements):
+        for b, g2 in enumerate(elements):
+            g = mul_sequential(g1, g2)
+            if (g.T, g.m) not in products:
+                products[g.T, g.m] = [g.relabel(p) for p in phases]
+            for j, p in enumerate(phases):
+                assert products[g.T, g.m][j] == second[b][first[a][j]], (g1, g2, p)
+                checked += 1
+    assert checked == 29160
+
+
 def test_action_composition_compatibility_random(a2_reps, z_std):
     rng = random.Random(502)
     sigma = handle(z_std)
@@ -148,8 +183,6 @@ def test_relabel_monotone_random():
             re, im = rng.randint(-5, 5), rng.randint(-5, 5)
             if (re, im) == (0, 0):
                 continue
-            from stabkit.exactnum import normalize_direction
-
             keys.append(normalize_direction(ec(re, im)).shift(rng.randint(-2, 2)))
         for p in keys:
             for q in keys:

@@ -3,33 +3,45 @@ hashing, repr and pickling.
 
 Value types and validated classes are slots classes on ``exactnum.Frozen``;
 result records are ``typing.NamedTuple``s, which no code compares or
-hashes.  The reprs below are pinned byte for byte.
+hashes.  Both lists of class names are read off the modules under
+``src/stabkit``, and the README must list the same classes.  The reprs
+below are pinned byte for byte.
 """
 
 import copy
+import importlib
 import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from stabkit import ellcurve, slicing, stability, stabspace
-from stabkit.exactnum import Displacement, ExactComplex, Frozen, PhaseKey, QuadScalar
+from stabkit import ellcurve, quivrep, slicing, stability, stabspace
+from stabkit.exactnum import ExactComplex, Frozen, PhaseKey, QuadScalar
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import Arrow, Quiver, QuiverRep
 from stabkit.session import parse_session
 
 from support import ec
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "a2_session.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "a2_session.json"
 
-FROZEN = ("QuadScalar", "ExactComplex", "PhaseKey", "Displacement", "Arrow", "Quiver", "QuiverRep", "CentralCharge",
-          "HNFiltration", "FormalComplex", "GLtildeElement", "StabilityConditionHandle", "ChargePath",
-          "NumericalCharge", "SessionDocument")
-RECORDS = ("SemistabilityCertificate", "MassEstimate", "DiscretenessReport", "HypothesisRow", "DeformReport",
-           "StabDistanceRow", "StabDistanceReport", "WallEvent", "WallsReport", "AxiomCheck", "AxiomReport",
-           "DecomposedFactor", "PhaseInterval", "ObjectDrift", "DistanceReport", "NumClass", "ModularReduction",
-           "PathSpec")
+
+def public_classes() -> dict[str, type]:
+    """Every public class defined in a module under src/stabkit, by name."""
+    out = {}
+    for path in sorted((ROOT / "src" / "stabkit").glob("*.py")):
+        module = importlib.import_module(f"stabkit.{path.stem}")
+        out.update((name, obj) for name, obj in vars(module).items()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__ and not name.startswith("_"))
+    return out
+
+
+CLASSES = public_classes()
+FROZEN = tuple(name for name, cls in CLASSES.items() if issubclass(cls, Frozen) and cls is not Frozen)
+RECORDS = tuple(name for name, cls in CLASSES.items() if issubclass(cls, tuple) and hasattr(cls, "_fields"))
 
 
 def representatives():
@@ -43,7 +55,6 @@ def representatives():
         (ExactComplex(Fraction(-1), q), "(-1 + (1/2+-3√5)i)"),
         (ec(Fraction(1, 3), 2), "(1/3 + 2i)"),
         (PhaseKey(1, ec(-1, 1)), "PhaseKey(k=1, dir=(-1 + 1i), ~1.750000)"),
-        (Displacement(ec(0, -2)), "Displacement(~1.500000, w=(0 + -2i))"),
         (stability.CentralCharge((ec(-1, 1), ec(1, 1))), "CentralCharge(values=((-1 + 1i), (1 + 1i)))"),
         (a2, "Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),))"),
         (QuiverRep(a2, field_by_name("F3"), (1, 1), (((2,),),)),
@@ -63,7 +74,7 @@ def every_class_instance() -> dict[str, object]:
     spec, path = doc.path("path1")
     g = ellcurve.classify(ellcurve.NumericalCharge(stabspace.mat2(-5, -1, 1, 0)))
     built = [x for x, _ in representatives()] + [
-        doc, doc.quiver.arrows[0], spec, path, sigma, g,
+        doc, doc.quiver.arrows[0], spec, path, sigma, g, quivrep.enumerate_submodules(doc.rep("P"))[1],
         ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
@@ -83,10 +94,27 @@ def every_class_instance() -> dict[str, object]:
     return out
 
 
+def slot_names(obj) -> list[str]:
+    """The slots of obj's class and its bases, base classes first."""
+    return [n for cls in reversed(type(obj).__mro__) for n in getattr(cls, "__slots__", ())]
+
+
 def public_fields(obj) -> tuple:
     """The values of obj's public fields, in order, as a bare tuple."""
-    names = obj._fields if isinstance(obj, tuple) else [n for n in type(obj).__slots__ if not n.startswith("_")]
+    names = obj._fields if isinstance(obj, tuple) else [n for n in slot_names(obj) if not n.startswith("_")]
     return tuple(getattr(obj, n) for n in names)
+
+
+def readme_class_list(heading: str) -> list[str]:
+    """The backquoted names in the README's parenthesised list after heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"`(\w+)`", re.search(re.escape(heading) + r" \(([^)]*)\)", text).group(1))
+
+
+def test_readme_lists_the_classes():
+    assert {"PhaseKey", "Submodule", "SessionDocument"} <= set(FROZEN) and {"PathSpec", "ObjectDrift"} <= set(RECORDS)
+    assert sorted(readme_class_list("*Value types and validated classes*")) == sorted(FROZEN)
+    assert sorted(readme_class_list("*Result records*")) == sorted(RECORDS)
 
 
 def test_every_instance_refuses_assignment_and_deletion():
@@ -94,7 +122,7 @@ def test_every_instance_refuses_assignment_and_deletion():
     assert sorted(instances) == sorted(FROZEN + RECORDS)
     for name, obj in instances.items():
         assert isinstance(obj, Frozen if name in FROZEN else tuple), name
-        first = obj._fields[0] if name in RECORDS else type(obj).__slots__[0]
+        first = obj._fields[0] if name in RECORDS else slot_names(obj)[0]
         for attempt in (lambda: setattr(obj, first, None), lambda: setattr(obj, "extra", None),
                         lambda: delattr(obj, first), lambda: delattr(obj, "extra")):
             with pytest.raises(AttributeError):
