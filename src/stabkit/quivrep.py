@@ -9,6 +9,7 @@ total-dimension cap.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from itertools import product
 
@@ -344,33 +345,96 @@ def sub_dims(rep: QuiverRep, cap: int = DEFAULT_CAP) -> list[DimVector]:
     return [beta for beta in product(*(range(d + 1) for d in rep.dims)) if any(beta) and beta != rep.dims]
 
 
-def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> tuple[Submodule, ...]:
+def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> SubmoduleLattice:
     """Every arrow-invariant subspace tuple, including 0 and rep itself.
 
     Per-vertex subspaces are enumerated in reduced echelon form and the
-    product is filtered by invariance, so the output order is canonical
+    product is filtered by invariance, so the member order is canonical
     (vertex 1 varies slowest) and free of duplicates.  The lattice
     depends on the representation alone, so equal representations share
-    one immutable tuple from a small memo; the field and cap checks run
-    on every call.
+    one immutable :class:`SubmoduleLattice` from a small memo; the field
+    and cap checks run on every call.
     """
-    if not rep.field.is_finite:
-        raise WrongFieldError("submodule enumeration needs a finite field; use the rational-field certificate route")
+    _require_finite(rep)
     _check_cap(rep, cap)
     return _lattice(rep)
 
 
-@functools.lru_cache(maxsize=8)
-def _lattice(rep: QuiverRep) -> tuple[Submodule, ...]:
-    # Arrows are checked at the later of their two endpoints.  Images of
-    # the chosen rows at an earlier source are taken once per prefix;
-    # images of a candidate's rows into an earlier target once per
-    # candidate.  The last vertex is one flat loop per prefix; a member's
-    # dims and total_dim come from a table of the prefix, indexed by the
-    # member's rank there.
+def _require_finite(rep: QuiverRep):
+    if not rep.field.is_finite:
+        raise WrongFieldError("submodule enumeration needs a finite field; use the rational-field certificate route")
+
+
+class SubmoduleLattice(Frozen):
+    """The submodules of a representation over a finite field, in canonical order.
+
+    A member is stored as its rows tuple alone.  Consecutive members with
+    one pivots tuple form a run, which stores that tuple, the shared dims
+    and the total dimension once; each dimension-vector class maps to the
+    index of its first member.  ``len`` counts the members; iterating or
+    indexing walks a tuple of :class:`Submodule` built once, on first
+    use, while :meth:`member` builds a single one.  ``==``, ``hash`` and
+    pickling go by the representation.  :func:`enumerate_submodules`
+    also checks the cap and shares one lattice among equal
+    representations.
+    """
+
+    __slots__ = ("rep", "_rows", "_starts", "_runs", "_first", "_members")
+
+    def __init__(self, rep: QuiverRep):
+        object.__setattr__(self, "rep", rep)
+        _require_finite(rep)
+        rows, starts, runs, first = _enumerate(rep)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_starts", starts)  # index of each run's first member
+        object.__setattr__(self, "_runs", runs)  # (pivots, dims, total_dim) of each run
+        object.__setattr__(self, "_first", first)  # class -> index of its first member
+        object.__setattr__(self, "_members", None)  # the Submodules, once built
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def classes(self):
+        """(dims, index of the first member of that class) per class, in
+        order of first appearance."""
+        return self._first.items()
+
+    def member(self, index: int) -> Submodule:
+        """The member at index, built on its own."""
+        index = range(len(self._rows))[index]  # a negative index counts from the end
+        pivots, dims, total_dim = self._runs[bisect.bisect_right(self._starts, index) - 1]
+        return _member(self.rep, self._rows[index], pivots, dims, total_dim)
+
+    def _built(self) -> tuple[Submodule, ...]:
+        if self._members is None:
+            rep, rows, out = self.rep, self._rows, []
+            ends = self._starts[1:] + (len(rows),)
+            for (pivots, dims, total_dim), start, end in zip(self._runs, self._starts, ends):
+                out += [_member(rep, r, pivots, dims, total_dim) for r in rows[start:end]]
+            object.__setattr__(self, "_members", tuple(out))
+        return self._members
+
+
+_lattice = functools.lru_cache(maxsize=8)(SubmoduleLattice)
+
+
+def _enumerate(rep: QuiverRep):
+    # Arrows are checked at the later of their two endpoints; an arrow
+    # whose matrix has no nonzero entry constrains nothing and is dropped.
+    # Images of the chosen rows at an earlier source are taken once per
+    # prefix; images of a candidate's rows into an earlier target once per
+    # candidate.  The last vertex is one flat loop per prefix; a run's dims
+    # and total_dim come from a table per prefix rank vector, indexed by the
+    # rank at the last vertex.
     F = rep.field
     n = rep.quiver.n
-    arrows = [(rep.maps[idx], a.src - 1, a.tgt - 1) for idx, a in enumerate(rep.quiver.arrows)]
+    arrows = [(M, a.src - 1, a.tgt - 1) for M, a in zip(rep.maps, rep.quiver.arrows) if any(map(any, M))]
     into = [[(M, s) for M, s, t in arrows if t == v and s < v] for v in range(n)]
     per_vertex = []
     for v, d in enumerate(rep.dims):
@@ -379,44 +443,55 @@ def _lattice(rep: QuiverRep) -> tuple[Submodule, ...]:
         images = ([[(t, ims) for M, t in back if (ims := _images(F, M, rows))] for rows, _ in cands]
                   if back else [()] * len(cands))
         per_vertex.append((cands, images))
-    out = []
-    chosen: list = [None] * (n - 1)
+    out: list = []
+    starts: list[int] = []
+    runs: list = []
+    first: dict[DimVector, int] = {}
+    tables: dict[DimVector, list] = {}
+    chosen_rows: list = [None] * (n - 1)
+    chosen_pivots: list = [None] * (n - 1)
 
     def last_vertex():
-        prefix_rows = tuple(rows for rows, _ in chosen)
-        prefix_pivots = tuple(pivots for _, pivots in chosen)
+        prefix_rows = tuple(chosen_rows)
+        prefix_pivots = tuple(chosen_pivots)
         base = tuple(map(len, prefix_rows))
-        table = [(_shared_dims(base + (k,)), sum(base) + k) for k in range(rep.dims[-1] + 1)]
-        fixed = [w for M, s in into[-1] for w in _images(F, M, chosen[s][0])]
+        if (table := tables.get(base)) is None:
+            table = tables[base] = [(_shared_dims(base + (k,)), sum(base) + k) for k in range(rep.dims[-1] + 1)]
+        fixed = [w for M, s in into[-1] for w in _images(F, M, chosen_rows[s])]
         last = None
         for (rows, pivots), back in zip(*per_vertex[-1]):
             if fixed and not _maps_into(F, fixed, rows, pivots):
                 continue
-            if back and not all(_maps_into(F, ims, *chosen[t]) for t, ims in back):
+            if back and not all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t]) for t, ims in back):
                 continue
             if pivots is not last:
-                # candidates of one pivot set are consecutive and share
-                # their pivots tuple, and so do their members
+                # candidates of one pivot set are consecutive; a run goes on
+                # across prefixes while the whole pivots tuple stays equal
                 last = pivots
                 member_pivots = prefix_pivots + (pivots,)
-                dims, total_dim = table[len(pivots)]
-            out.append(_member(rep, prefix_rows + (rows,), member_pivots, dims, total_dim))
+                if not runs or member_pivots != runs[-1][0]:
+                    dims, total_dim = table[len(pivots)]
+                    starts.append(len(out))
+                    runs.append((member_pivots, dims, total_dim))
+                    first.setdefault(dims, len(out))
+            out.append(prefix_rows + (rows,))
 
     def descend(v):
         if v == n - 1:
             last_vertex()
             return
-        fixed = [w for M, s in into[v] for w in _images(F, M, chosen[s][0])]
-        for cand, back in zip(*per_vertex[v]):
-            if fixed and not _maps_into(F, fixed, *cand):
+        fixed = [w for M, s in into[v] for w in _images(F, M, chosen_rows[s])]
+        for (rows, pivots), back in zip(*per_vertex[v]):
+            if fixed and not _maps_into(F, fixed, rows, pivots):
                 continue
-            if back and not all(_maps_into(F, ims, *chosen[t]) for t, ims in back):
+            if back and not all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t]) for t, ims in back):
                 continue
-            chosen[v] = cand
+            chosen_rows[v] = rows
+            chosen_pivots[v] = pivots
             descend(v + 1)
 
     descend(0)
-    return tuple(out)
+    return tuple(out), tuple(starts), tuple(runs), first
 
 
 def subquotient(rep: QuiverRep, lower: Submodule, upper: Submodule) -> QuiverRep:

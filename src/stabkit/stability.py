@@ -9,7 +9,6 @@ minimal-phase quotients) exists precisely to oracle-check the first
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -112,7 +111,9 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
     "phase(beta) > phase(dims)" is decided once per dimension-vector
     class beta; the field decides how a violating class is realized.
     Over a finite field the witness is the first submodule in canonical
-    order whose class violates.  Over Q it is the first rigid violator
+    order whose class violates: the classes are read in order of first
+    appearance in the lattice, and only the witness is built as a
+    Submodule.  Over Q it is the first rigid violator
     (every component 0 or full) whose coordinate submodule is
     arrow-invariant; failing that, a violator with a partial component
     is refused rather than guessed.  Both scans are bounded by the cap.
@@ -121,16 +122,16 @@ def is_semistable(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAULT_C
         raise ZeroObjectError("semistability is undefined for the zero representation")
     own = phase(rep.dims, Z)
 
-    @functools.cache
-    def violation(beta):  # decided once per dimension-vector class
+    def violation(beta):  # each caller visits a class once
         if any(beta) and beta != rep.dims and (ph := phase(beta, Z)).cmp(own) > 0:
             return ph
         return None
 
     if rep.field.is_finite:
-        for sub in quivrep.enumerate_submodules(rep, cap):
-            if (ph := violation(sub.dims)) is not None:
-                return SemistabilityCertificate("unstable", sub, ph, own)
+        lattice = quivrep.enumerate_submodules(rep, cap)
+        for beta, index in lattice.classes():
+            if (ph := violation(beta)) is not None:
+                return SemistabilityCertificate("unstable", lattice.member(index), ph, own)
         return SemistabilityCertificate("semistable", None, None, own)
     partial = None
     for beta in quivrep.sub_dims(rep, cap):
@@ -235,7 +236,7 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     return filt
 
 
-def _mdq_kernel(current: Submodule, subs: tuple[Submodule, ...], Z: CentralCharge) -> Submodule:
+def _mdq_kernel(current: Submodule, subs: quivrep.SubmoduleLattice, Z: CentralCharge) -> Submodule:
     """Kernel of a maximally destabilising quotient of current.
 
     The kernels of the quotients of current are the members of its

@@ -122,11 +122,8 @@ class GLtildeElement(Frozen):
     def transform_charge(self, z: ExactComplex) -> ExactComplex:
         return mat2_apply(self.t_inv(), z)
 
-    def reference_direction(self) -> ExactComplex:
-        return mat2_apply(self.t_inv(), EC_I)
-
     def anchor_key(self) -> PhaseKey:
-        return phase_key_anchor(self.reference_direction(), self.m)
+        return phase_key_anchor(mat2_apply(self.t_inv(), EC_I), self.m)
 
     def relabel(self, p: PhaseKey) -> PhaseKey:
         """New phase of an object whose old phase is p, exactly; the
@@ -141,9 +138,11 @@ class GLtildeElement(Frozen):
         and compatible with the shift by construction.  For the identity
         the phase is p's, but a direction along i comes back as i itself.
         """
+        t_inv = self.t_inv()
+        reference = mat2_apply(t_inv, EC_I)
         vec = p.dir if p.k % 2 == 0 else -p.dir
-        disp = ccw_displacement(self.reference_direction(), mat2_apply(self.t_inv(), vec))
-        return self.anchor_key().plus(disp).shift(2 * p.window_index())
+        disp = ccw_displacement(reference, mat2_apply(t_inv, vec))
+        return phase_key_anchor(reference, self.m).plus(disp).shift(2 * p.window_index())
 
 
 def mul_sequential(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from itertools import product
 
@@ -153,8 +154,19 @@ def test_lattice_memo_is_keyed_on_equal_representations():
     r2 = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
     assert r1 is not r2 and r1 == r2
     subs = enumerate_submodules(r1)
-    assert isinstance(subs, tuple)
     assert enumerate_submodules(r2) is subs
+    # the shared lattice refuses assignment and deletion, and its members
+    # are Submodules whose dims are shared per class
+    for attempt in (lambda: setattr(subs, "rep", r2), lambda: setattr(subs, "extra", None),
+                    lambda: delattr(subs, "rep"), lambda: delattr(subs, "extra")):
+        with pytest.raises(AttributeError, match="immutable"):
+            attempt()
+    assert not hasattr(subs, "__dict__")
+    shared = {}
+    for s in subs:
+        assert type(s) is quivrep.Submodule and s.parent == r1
+        assert s.dims is shared.setdefault(s.dims, s.dims)
+    assert len(shared) < len(subs) == len(tuple(subs))
     # same dims and matrix entries over another field: another lattice
     other = rep(A3, F2, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
     same_entries = rep(A3, F3, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
@@ -175,7 +187,7 @@ def test_submodule_stores_shared_dims():
     subs = enumerate_submodules(r)
     coordinate = [coordinate_submodule(r, beta) for beta in [(0, 0, 0), (0, 0, 1), (1, 2, 1)]]
     first = {}
-    for s in subs + tuple(coordinate):
+    for s in tuple(subs) + tuple(coordinate):
         assert type(s) is quivrep.Submodule
         assert not hasattr(s, "__dict__")
         with pytest.raises(AttributeError, match="immutable"):
@@ -194,16 +206,21 @@ def test_submodule_stores_shared_dims():
         quivrep.Submodule(r, ((), ((1, 0),), ()), ((), (0,), ()))
 
 
-@pytest.mark.parametrize("quiver, dims", [(A2, (0, 3)), (A2, (1, 3)), (A3, (1, 1, 2)), (KRONECKER, (1, 2))])
+@pytest.mark.parametrize("quiver, dims", [(A2, (0, 3)), (A2, (1, 3)), (A3, (1, 1, 2)), (KRONECKER, (1, 2)),
+                                         (A2, (3, 0)), (A3, (2, 0, 2)), (KRONECKER, (0, 2))])
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
 def test_member_loop_against_span_closure(quiver, dims, field):
     # shapes whose last vertex carries most of the dimension, so most
-    # members come out of the flat loop over the last vertex
+    # members come out of the flat loop over the last vertex; all-zero
+    # maps (trial 0, and the first arrow in trial 4) and arrows with a
+    # dimension-0 endpoint constrain nothing
     rng = random.Random(f"{dims}/{field}")
     index = [{s: i for i, s in enumerate(linalg.subspaces(field.p, d))} for d in dims]
-    for trial in range(4):
+    for trial in range(5):
         maps = {a.name: [[rng.randrange(field.p) if trial else 0 for _ in range(dims[a.src - 1])]
                          for _ in range(dims[a.tgt - 1])] for a in quiver.arrows}
+        if trial == 4:
+            maps[quiver.arrows[0].name] = [[0] * dims[quiver.arrows[0].src - 1]] * dims[quiver.arrows[0].tgt - 1]
         r = rep(quiver, field, dims, maps)
         subs = enumerate_submodules(r)
         as_sets = [submodule_as_sets(s) for s in subs]
@@ -212,6 +229,14 @@ def test_member_loop_against_span_closure(quiver, dims, field):
         # canonical order: the product of the per-vertex lists, vertex 1 slowest
         positions = [tuple(index[v][(s.rows[v], s.pivots[v])] for v in range(quiver.n)) for s in subs]
         assert positions == sorted(set(positions))
+        if trial == 0:
+            assert len(subs) == math.prod(len(linalg.subspaces(field.p, d)) for d in dims)
+        # each class in order of first appearance, at its first member
+        first = {}
+        for i, s in enumerate(subs):
+            first.setdefault(s.dims, i)
+        assert list(subs.classes()) == list(first.items())
+        assert [subs.member(i) for i in range(len(subs))] == list(subs)
 
 
 def test_against_independent_enumerator():

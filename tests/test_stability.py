@@ -335,6 +335,81 @@ def test_class_level_scans_match_per_submodule_reference():
     assert sum(ties) > 50  # steps whose extremal phase several classes attain
 
 
+def _invertible(rng, p, k):
+    while True:
+        m = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        if linalg.rank(linalg.PrimeField(p), m) == k:
+            return m
+
+
+def _witness_families():
+    """(rep, charge) on three families: the fuzz stream over F2 and F3,
+    semisimple representations with aligned charges, and chain-style
+    representations (invertible maps along every arrow, so each is a sum
+    of copies of the projective at vertex 1) with a violating class."""
+    stream = [(r, Z) for _, r, Z in instance_stream(seed=1515, count=120, max_total=5, max_per_vertex=3)]
+    rng = random.Random(1516)
+    aligned = []
+    for quiver, dims in ((A2, (0, 3)), (A2, (3, 0)), (A2, (2, 2)), (A3, (1, 0, 2)), (A3, (2, 1, 1)),
+                         (KRONECKER, (1, 2)), (KRONECKER, (2, 2))):
+        for field in (F2, F3):
+            re, im = rng.randint(-3, 3), rng.randint(1, 3)
+            Z = charge(*((re * c, im * c) for c in (rng.randint(1, 4) for _ in range(quiver.n))))
+            aligned.append((rep(quiver, field, dims), Z))
+    chains = []
+    for quiver, k in ((A2, 1), (A2, 2), (A2, 3), (A3, 1), (A3, 2)):
+        for field in (F2, F3):
+            maps = {a.name: _invertible(rng, field.p, k) for a in quiver.arrows}
+            # the simple at the last vertex, a submodule, has the largest phase
+            Z = charge(*[(1, 1), (0, 1), (-1, 1)][-quiver.n:])
+            chains.append((rep(quiver, field, (k,) * quiver.n, maps), Z))
+    return stream, aligned, chains
+
+
+def test_witness_is_the_first_violating_member_in_canonical_order():
+    stream, aligned, chains = _witness_families()
+    verdicts = {}
+    for family, cases in (("stream", stream), ("aligned", aligned), ("chain", chains)):
+        for r, Z in cases:
+            verdict, witness, wph, own = _reference_certificate(r, Z)
+            cert = is_semistable(r, Z)
+            assert cert.verdict == verdict
+            assert cert.witness == witness
+            if witness is not None:
+                assert cert.witness.rows == witness.rows and cert.witness.pivots == witness.pivots
+            assert _same_phase(cert.witness_phase, wph) and _same_phase(cert.object_phase, own)
+            verdicts.setdefault(family, []).append(verdict)
+    assert set(verdicts["aligned"]) == {"semistable"}
+    assert set(verdicts["chain"]) == {"unstable"}
+    assert 20 < verdicts["stream"].count("unstable") < len(stream) - 20
+
+
+def test_verdicts_build_only_the_witness(monkeypatch):
+    from stabkit import quivrep
+
+    real, built = quivrep._member, []
+
+    def counting(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(quivrep, "_member", counting)
+    _, aligned, chains = _witness_families()
+    for (r, Z), want in ((aligned[2], "semistable"), (chains[4], "unstable")):
+        quivrep._lattice.cache_clear()
+        built.clear()
+        cert = is_semistable(r, Z)
+        witness = [] if cert.witness is None else [cert.witness.rows]
+        assert cert.verdict == want and len(witness) == (want == "unstable") and built == witness
+        lattice = enumerate_submodules(r)
+        assert len(lattice) > 4 and built == witness  # counting builds nothing
+        assert lattice.member(-1) == lattice.member(len(lattice) - 1) and lattice.member(-1).is_full
+        # walking the lattice builds every member once
+        built.clear()
+        members = tuple(lattice)
+        assert built == [s.rows for s in members] and tuple(lattice) == members and len(built) == len(members)
+
+
 # --- reference: the separate rational certificate the merged one replaces ---
 
 

@@ -161,6 +161,25 @@ def test_product_relabels_sequentially_on_axis_aligned_elements():
     assert checked == 29160
 
 
+def test_anchored_inverts_the_matrix_once(monkeypatch):
+    from stabkit import stabspace
+
+    real, calls = stabspace.mat2_inv, []
+
+    def counting(T):
+        calls.append(T)
+        return real(T)
+
+    g = GLtildeElement(mat2(2, 1, -1, 3), 1)
+    phases = [normalize_direction(ec(x, y)).shift(k) for x, y in ((1, 2), (-3, 1), (0, 1)) for k in (-1, 0, 2)]
+    expected = [g.anchored(p) for p in phases]
+    monkeypatch.setattr(stabspace, "mat2_inv", counting)
+    for p, want in zip(phases, expected):
+        calls.clear()
+        assert g.anchored(p) == want
+        assert calls == [g.T]
+
+
 def test_action_composition_compatibility_random(a2_reps, z_std):
     rng = random.Random(502)
     sigma = handle(z_std)

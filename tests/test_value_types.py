@@ -50,6 +50,9 @@ def representatives():
     q = QuadScalar(Fraction(1, 2), Fraction(-3), 5)
     a2 = Quiver(2, (Arrow("a", 1, 2),))
     t = "((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(1, 1)))"
+    rep = QuiverRep(a2, field_by_name("F3"), (1, 1), (((2,),),))
+    rep_text = ("QuiverRep(quiver=Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),)), field=F3, dims=(1, 1), "
+                "maps=(((2,),),))")
     return [
         (q, "QuadScalar(1/2, -3, d=5)"),
         (ExactComplex(Fraction(-1), q), "(-1 + (1/2+-3√5)i)"),
@@ -57,9 +60,8 @@ def representatives():
         (PhaseKey(1, ec(-1, 1)), "PhaseKey(k=1, dir=(-1 + 1i), ~1.750000)"),
         (stability.CentralCharge((ec(-1, 1), ec(1, 1))), "CentralCharge(values=((-1 + 1i), (1 + 1i)))"),
         (a2, "Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),))"),
-        (QuiverRep(a2, field_by_name("F3"), (1, 1), (((2,),),)),
-         "QuiverRep(quiver=Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),)), field=F3, dims=(1, 1), "
-         "maps=(((2,),),))"),
+        (rep, rep_text),
+        (quivrep.SubmoduleLattice(rep), f"SubmoduleLattice(rep={rep_text})"),
         (stabspace.GLtildeElement(stabspace.mat2(1, 2, 0, 1), -1), f"GLtildeElement(T={t}, m=-1)"),
     ]
 
@@ -73,8 +75,9 @@ def every_class_instance() -> dict[str, object]:
     flip = stabspace.StabilityConditionHandle(doc.quiver, doc.field, doc.charge("Zflip"))
     spec, path = doc.path("path1")
     g = ellcurve.classify(ellcurve.NumericalCharge(stabspace.mat2(-5, -1, 1, 0)))
+    lattice = quivrep.enumerate_submodules(doc.rep("P"))
     built = [x for x, _ in representatives()] + [
-        doc, doc.quiver.arrows[0], spec, path, sigma, g, quivrep.enumerate_submodules(doc.rep("P"))[1],
+        doc, doc.quiver.arrows[0], spec, path, sigma, g, lattice, lattice[1],
         ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
