@@ -21,7 +21,6 @@ from .quivrep import (
     Quiver,
     QuiverRep,
     Submodule,
-    all_ses,
     enumerate_submodules,
     euler_form,
     hom_dim,

@@ -320,8 +320,13 @@ def cmd_curve(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed argument is reported like any other refusal
+        raise StabkitError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stabkit", description=__doc__)
+    ap = _Parser(prog="stabkit", description=__doc__)
     ap.add_argument("--input", help="session document (JSON)")
     ap.add_argument("--output", choices=("json", "csv"), default="json")
     ap.add_argument("--cap", type=int, default=quivrep.DEFAULT_CAP,
@@ -391,9 +396,9 @@ _NEEDS_SESSION = {
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch one command; returns (exit code, report text)."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "curve":
             result = cmd_curve(args)
         else:
@@ -407,7 +412,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             doc = parse_session(text)
             result = _NEEDS_SESSION[args.command](doc, args)
     except StabkitError as exc:
-        payload = {"command": args.command, "ok": False,
+        payload = {"command": args and args.command, "ok": False,
                    "error": type(exc).__name__, "message": str(exc)}
         return exc.exit_code, json.dumps(payload, indent=2) + "\n"
     csv_rows = result.pop("csv_rows", None)

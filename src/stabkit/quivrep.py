@@ -206,34 +206,19 @@ def _require_compatible(M: QuiverRep, N: QuiverRep):
         raise FieldMismatchError(f"representations live over different fields {M.field} and {N.field}")
 
 
-class _SubmoduleSlots:
-    # The storage of a Submodule.  ``_member`` fills the slots of a fresh
-    # instance and then turns it into a Submodule, which refuses writes.
-    # Plain slot stores are the cheapest construction; going through
-    # object.__setattr__ or the slot descriptors made building the A2/F7
-    # (0,5) lattice 25-35 % slower.
-    __slots__ = ("parent", "rows", "pivots", "dims", "total_dim")
-
-    parent: QuiverRep
-    rows: tuple[tuple, ...]  # per vertex: tuple of basis row tuples (RREF)
-    pivots: tuple[tuple[int, ...], ...]
-    dims: DimVector
-    total_dim: int
-
-
-class Submodule(_SubmoduleSlots, Frozen):
+class Submodule(Frozen):
     """Arrow-invariant tuple of subspaces, one echelon basis per vertex.
 
     Bases are stored as rows in reduced echelon form, which makes
-    equality of submodules literal equality of bases.  The dimension
-    vector and total dimension are stored at construction; submodules
-    with equal dimension vectors share one ``dims`` tuple.  Calling the
-    class checks arrow invariance; the enumerator, whose members are
-    invariant by construction, builds them with ``_member``.  Instances
-    are immutable.
+    equality of submodules of one representation literal equality of
+    bases.  The dimension vector and total dimension are stored at
+    construction; submodules with equal dimension vectors share one
+    ``dims`` tuple.  Calling the class checks arrow invariance; the
+    enumerator, whose members are invariant by construction, builds
+    them with ``_member``.  Instances are immutable.
     """
 
-    __slots__ = ()
+    __slots__ = ("parent", "rows", "pivots", "dims", "total_dim")
 
     def __new__(cls, parent: QuiverRep, rows, pivots):
         if not _invariant(parent, rows, pivots):
@@ -256,40 +241,41 @@ class Submodule(_SubmoduleSlots, Frozen):
         return self.dims == self.parent.dims
 
     def contains(self, other: "Submodule") -> bool:
-        for o, r in zip(other.rows, self.rows):
-            if len(o) > len(r):
-                return False  # echelon rows are independent
-        F = self.parent.field
-        for rows, pivots, d, theirs in zip(self.rows, self.pivots, self.parent.dims, other.rows):
-            if len(rows) == d:
-                continue  # the whole space holds every row
-            for row in theirs:
-                if not linalg.in_span(F, row, rows, pivots):
-                    return False
-        return True
+        return _contains(self.parent, self.rows, self.pivots, other.rows)
 
     def sort_key(self):
         return (self.total_dim, self.dims, self.rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Submodule):
-            return NotImplemented
-        return self.parent.dims == other.parent.dims and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
+_set_parent, _set_rows, _set_pivots = Submodule.parent.__set__, Submodule.rows.__set__, Submodule.pivots.__set__
+_set_dims, _set_total_dim = Submodule.dims.__set__, Submodule.total_dim.__set__
 
 
 def _member(parent: QuiverRep, rows, pivots, dims: DimVector, total_dim: int) -> Submodule:
-    """A Submodule from parts known to be arrow-invariant; dims is shared."""
-    sub = object.__new__(_SubmoduleSlots)
-    sub.parent = parent
-    sub.rows = rows
-    sub.pivots = pivots
-    sub.dims = dims
-    sub.total_dim = total_dim
-    sub.__class__ = Submodule  # read-only from here on
+    """A Submodule from parts known to be arrow-invariant; dims is shared.
+    The parts are stored through the slot descriptors, as in exactnum."""
+    sub = object.__new__(Submodule)
+    _set_parent(sub, parent)
+    _set_rows(sub, rows)
+    _set_pivots(sub, pivots)
+    _set_dims(sub, dims)
+    _set_total_dim(sub, total_dim)
     return sub
+
+
+def _contains(rep: QuiverRep, rows, pivots, theirs) -> bool:
+    """Whether, at every vertex of rep, the echelon basis rows (pivots) spans the rows theirs."""
+    for o, r in zip(theirs, rows):
+        if len(o) > len(r):
+            return False  # echelon rows are independent
+    F = rep.field
+    for mine, piv, d, their in zip(rows, pivots, rep.dims, theirs):
+        if len(mine) == d:
+            continue  # the whole space holds every row
+        for row in their:
+            if not linalg.in_span(F, row, mine, piv):
+                return False
+    return True
 
 
 @functools.lru_cache(maxsize=1024)
@@ -371,15 +357,14 @@ class SubmoduleLattice(Frozen):
     A member is stored as its rows tuple alone.  Consecutive members with
     one pivots tuple form a run, which stores that tuple, the shared dims
     and the total dimension once; each dimension-vector class maps to the
-    index of its first member.  ``len`` counts the members; iterating or
-    indexing walks a tuple of :class:`Submodule` built once, on first
-    use, while :meth:`member` builds a single one.  ``==``, ``hash`` and
-    pickling go by the representation.  :func:`enumerate_submodules`
-    also checks the cap and shares one lattice among equal
-    representations.
+    index of its first member.  ``len`` counts the members, :meth:`walk`
+    reads them by index and :meth:`member` builds one as a
+    :class:`Submodule`.  ``==``, ``hash`` and pickling go by the
+    representation.  :func:`enumerate_submodules` also checks the cap and
+    shares one lattice among equal representations.
     """
 
-    __slots__ = ("rep", "_rows", "_starts", "_runs", "_first", "_members")
+    __slots__ = ("rep", "_rows", "_starts", "_runs", "_first")
 
     def __init__(self, rep: QuiverRep):
         object.__setattr__(self, "rep", rep)
@@ -389,16 +374,9 @@ class SubmoduleLattice(Frozen):
         object.__setattr__(self, "_starts", starts)  # index of each run's first member
         object.__setattr__(self, "_runs", runs)  # (pivots, dims, total_dim) of each run
         object.__setattr__(self, "_first", first)  # class -> index of its first member
-        object.__setattr__(self, "_members", None)  # the Submodules, once built
 
     def __len__(self):
         return len(self._rows)
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __getitem__(self, index):
-        return self._built()[index]
 
     def classes(self):
         """(dims, index of the first member of that class) per class, in
@@ -411,14 +389,23 @@ class SubmoduleLattice(Frozen):
         pivots, dims, total_dim = self._runs[bisect.bisect_right(self._starts, index) - 1]
         return _member(self.rep, self._rows[index], pivots, dims, total_dim)
 
-    def _built(self) -> tuple[Submodule, ...]:
-        if self._members is None:
-            rep, rows, out = self.rep, self._rows, []
-            ends = self._starts[1:] + (len(rows),)
-            for (pivots, dims, total_dim), start, end in zip(self._runs, self._starts, ends):
-                out += [_member(rep, r, pivots, dims, total_dim) for r in rows[start:end]]
-            object.__setattr__(self, "_members", tuple(out))
-        return self._members
+    def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, int]]:
+        """(dims, total_dim, index) of each member strictly above step, or
+        strictly inside it when above is false, in canonical order.  A run
+        whose total dimension rules it out is skipped whole."""
+        rep, rows, out = self.rep, self._rows, []
+        step_rows, step_pivots, step_total = step.rows, step.pivots, step.total_dim
+        ends = self._starts[1:] + (len(rows),)
+        for (pivots, dims, total_dim), start, end in zip(self._runs, self._starts, ends):
+            if above and total_dim > step_total:
+                for i in range(start, end):
+                    if _contains(rep, rows[i], pivots, step_rows):
+                        out.append((dims, total_dim, i))
+            elif not above and total_dim < step_total:
+                for i in range(start, end):
+                    if _contains(rep, step_rows, step_pivots, rows[i]):
+                        out.append((dims, total_dim, i))
+        return out
 
 
 _lattice = functools.lru_cache(maxsize=8)(SubmoduleLattice)
@@ -528,17 +515,6 @@ def subquotient(rep: QuiverRep, lower: Submodule, upper: Submodule) -> QuiverRep
             cols.append(coords)
         maps.append(tuple(tuple(col[i] for col in cols) for i in range(len(rows_t))))
     return QuiverRep(rep.quiver, F, tuple(len(rows) for rows, _ in bases), tuple(maps))
-
-
-def all_ses(rep: QuiverRep, cap: int = DEFAULT_CAP):
-    """All short exact sequences 0 -> A -> rep -> B -> 0 with A proper nonzero."""
-    out = []
-    full = full_submodule(rep)
-    for sub in enumerate_submodules(rep, cap):
-        if sub.is_zero or sub.is_full:
-            continue
-        out.append((sub, subquotient(rep, sub, full)))
-    return out
 
 
 def hom_dim(M: QuiverRep, N: QuiverRep) -> int:

@@ -204,8 +204,8 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     they are the submodules C > A, which correspond to the nonzero
     submodules C/A of the quotient rep/A.  Among them take those where
     phase(C/A) is maximal, among those the unique one of maximal total
-    dimension; it is the next step.  Non-uniqueness is an
-    internal-invariant violation, not a tie to be broken.
+    dimension; it is the next step, the only member built as a Submodule.
+    Non-uniqueness is an internal-invariant violation, not a tie to be broken.
     """
     if rep.is_zero:
         raise ZeroObjectError("the zero representation has no filtration")
@@ -214,21 +214,20 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     phases: list[PhaseKey] = []
     while not chain[-1].is_full:
         A = chain[-1]
-        above = [C for C in subs if C.total_dim > A.total_dim and C.contains(A)]
+        above = subs.walk(A, above=True)
         # phase(C/A) is compared once per class; max keeps the first maximal class in list order
         by_class = {beta: phase(quivrep.dim_sub(beta, A.dims), Z)
-                    for beta in dict.fromkeys(C.dims for C in above)}
+                    for beta in dict.fromkeys(beta for beta, _, _ in above)}
         best = max(by_class.values())
         top_classes = {beta for beta, p in by_class.items() if p == best}
-        tied = [C for C in above if C.dims in top_classes]
-        maxdim = max(C.total_dim for C in tied)
-        top = [C for C in tied if C.total_dim == maxdim]
+        maxdim = max(total_dim for beta, total_dim, _ in above if beta in top_classes)
+        top = [index for beta, total_dim, index in above if beta in top_classes and total_dim == maxdim]
         if len(top) != 1:
             raise InvariantViolation(
                 "maximal-phase subobject of maximal dimension is not unique; "
                 f"{len(top)} candidates of dimension {maxdim - A.total_dim}"
             )
-        chain.append(top[0])
+        chain.append(subs.member(top[0]))
         phases.append(best)
     filt = _filtration(rep, chain, phases)
     if validate:
@@ -245,15 +244,16 @@ def _mdq_kernel(current: Submodule, subs: quivrep.SubmoduleLattice, Z: CentralCh
     B' has phase >= phase(B), with equality only if it factors through
     B; in kernel terms: phase(current/K) is minimal and K is contained
     in every kernel realizing the minimum.  Both conditions are verified
-    exhaustively; failure cannot happen in a finite-length module
-    category and is therefore reported as an invariant violation.
+    exhaustively (on the tied kernels alone built as Submodules); failure
+    cannot happen in a finite-length module category and is therefore
+    reported as an invariant violation.
     """
-    kernels = [K for K in subs if K.total_dim < current.total_dim and current.contains(K)]
+    kernels = subs.walk(current, above=False)
     by_class = {beta: phase(quivrep.dim_sub(current.dims, beta), Z)
-                for beta in dict.fromkeys(K.dims for K in kernels)}
+                for beta in dict.fromkeys(beta for beta, _, _ in kernels)}
     best = min(by_class.values())
     low_classes = {beta for beta, p in by_class.items() if p == best}
-    tied = [K for K in kernels if K.dims in low_classes]
+    tied = [subs.member(index) for beta, _, index in kernels if beta in low_classes]
     K = min(tied, key=lambda s: s.sort_key())
     for other in tied:
         if not other.contains(K):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from stabkit.exactnum import ExactComplex
 from stabkit.linalg import field_by_name
-from stabkit.quivrep import Arrow, Quiver, QuiverRep
+from stabkit.quivrep import Arrow, Quiver, QuiverRep, enumerate_submodules, full_submodule, subquotient
 from stabkit.slicing import FormalComplex
 from stabkit.stability import CentralCharge
 
@@ -22,6 +22,15 @@ A3 = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
 KRONECKER = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 1, 2)))
 
 QUIVERS = {"A2": A2, "A3": A3, "K2": KRONECKER}
+
+# Quivers with an arrow from a higher to a lower vertex index.  They are
+# kept out of QUIVERS, so the seeded instance streams stay as they are.
+BACKWARD_QUIVERS = {
+    "A2 2->1": Quiver(2, (Arrow("a", 2, 1),)),
+    "A3 1<-2->3": Quiver(3, (Arrow("a", 2, 1), Arrow("b", 2, 3))),
+    "A3 1->2<-3": Quiver(3, (Arrow("a", 1, 2), Arrow("b", 3, 2))),
+    "K2 2=>1": Quiver(2, (Arrow("a", 2, 1), Arrow("b", 2, 1))),
+}
 
 F2 = field_by_name("F2")
 F3 = field_by_name("F3")
@@ -52,6 +61,18 @@ def rep(quiver: Quiver, field, dims, maps_by_name=None) -> QuiverRep:
 def labelled(reps: dict[str, QuiverRep], names) -> list[tuple[str, FormalComplex]]:
     """A testset of (name, representation in degree 0) pairs."""
     return [(n, FormalComplex.of_module(reps[n])) for n in names]
+
+
+def members(lattice) -> list:
+    """Every member of a submodule lattice, built one by one."""
+    return [lattice.member(i) for i in range(len(lattice))]
+
+
+def all_ses(r: QuiverRep) -> list:
+    """All short exact sequences 0 -> A -> r -> B -> 0 with A proper nonzero."""
+    full = full_submodule(r)
+    return [(sub, subquotient(r, sub, full)) for sub in members(enumerate_submodules(r))
+            if not (sub.is_zero or sub.is_full)]
 
 
 def random_rep(rng: random.Random, quiver: Quiver, field, max_total=6, max_per_vertex=4) -> QuiverRep:

@@ -41,7 +41,7 @@ from stabkit.stabspace import (
     stab_distance,
 )
 
-from support import A2, F2, charge, ec, instance_stream, labelled, random_charge
+from support import A2, F2, charge, ec, instance_stream, labelled, members, random_charge
 
 TOL_MASS = 2.0 ** -30
 TOL_LOG = 1e-12
@@ -90,7 +90,7 @@ def _direct_exhaustive_verdict(r, Z):
     from stabkit.quivrep import enumerate_submodules
 
     own = phase(r.dims, Z)
-    for sub in enumerate_submodules(r):
+    for sub in members(enumerate_submodules(r)):
         if sub.is_zero or sub.is_full:
             continue
         if phase(sub.dims, Z).cmp(own) > 0:

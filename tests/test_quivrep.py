@@ -12,7 +12,6 @@ from stabkit.errors import CapExceededError, CycleError, FieldMismatchError, Sch
 from stabkit.quivrep import (
     Arrow,
     Quiver,
-    all_ses,
     coordinate_submodule,
     dim_add,
     dim_sub,
@@ -29,7 +28,22 @@ from stabkit.quivrep import (
     zero_submodule,
 )
 
-from support import A2, A3, F2, F3, KRONECKER, Q, instance_stream, rep, submodule_as_sets, submodule_sets_bruteforce
+from support import (
+    A2,
+    A3,
+    BACKWARD_QUIVERS,
+    F2,
+    F3,
+    KRONECKER,
+    Q,
+    all_ses,
+    instance_stream,
+    members,
+    random_rep,
+    rep,
+    submodule_as_sets,
+    submodule_sets_bruteforce,
+)
 
 
 def test_acyclicity_enforced():
@@ -40,26 +54,26 @@ def test_acyclicity_enforced():
 
 
 def test_p_submodules(a2_reps):
-    subs = enumerate_submodules(a2_reps["P"])
+    subs = members(enumerate_submodules(a2_reps["P"]))
     assert [s.dims for s in subs] == [(0, 0), (0, 1), (1, 1)]
     # (1, 0) is not arrow-invariant for P
     assert (1, 0) not in {s.dims for s in subs}
 
 
 def test_zero_and_simple_submodules():
-    assert [s.dims for s in enumerate_submodules(zero_rep(A2, F2))] == [(0, 0)]
+    assert [s.dims for s in members(enumerate_submodules(zero_rep(A2, F2)))] == [(0, 0)]
     s1 = simple_rep(A2, F2, 1)
-    assert [s.dims for s in enumerate_submodules(s1)] == [(0, 0), (1, 0)]
+    assert [s.dims for s in members(enumerate_submodules(s1))] == [(0, 0), (1, 0)]
 
 
 def test_quotient_examples(a2_reps):
     P = a2_reps["P"]
-    sub_s2 = [s for s in enumerate_submodules(P) if s.dims == (0, 1)][0]
+    sub_s2 = [s for s in members(enumerate_submodules(P)) if s.dims == (0, 1)][0]
     q = subquotient(P, sub_s2, full_submodule(P))
     assert q.dims == (1, 0)
-    zero = [s for s in enumerate_submodules(P) if s.is_zero][0]
+    zero = [s for s in members(enumerate_submodules(P)) if s.is_zero][0]
     assert subquotient(P, zero, full_submodule(P)) == P
-    full = [s for s in enumerate_submodules(P) if s.is_full][0]
+    full = [s for s in members(enumerate_submodules(P)) if s.is_full][0]
     assert subquotient(P, full, full_submodule(P)).is_zero
 
 
@@ -127,7 +141,7 @@ def test_coordinate_submodule_is_the_rigid_realization():
     # subspace tuple, so it is realized exactly when the enumeration finds it
     checked = 0
     for _, r, _Z in instance_stream(seed=77, count=60, max_total=5, max_per_vertex=3):
-        found = {s.dims: s for s in enumerate_submodules(r)}
+        found = {s.dims: s for s in members(enumerate_submodules(r))}
         for beta in sub_dims(r):
             if all(b in (0, d) for b, d in zip(beta, r.dims)):
                 sub = coordinate_submodule(r, beta)
@@ -141,11 +155,11 @@ def test_coordinate_submodule_is_the_rigid_realization():
 def test_enumeration_deterministic(a2_reps):
     r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
     first = enumerate_submodules(r)
-    one = [(s.dims, s.rows) for s in first]
+    one = [(s.dims, s.rows) for s in members(first)]
     quivrep._lattice.cache_clear()  # the second call builds the lattice again
     second = enumerate_submodules(r)
     assert second is not first
-    two = [(s.dims, s.rows) for s in second]
+    two = [(s.dims, s.rows) for s in members(second)]
     assert one == two
 
 
@@ -163,10 +177,10 @@ def test_lattice_memo_is_keyed_on_equal_representations():
             attempt()
     assert not hasattr(subs, "__dict__")
     shared = {}
-    for s in subs:
+    for s in members(subs):
         assert type(s) is quivrep.Submodule and s.parent == r1
         assert s.dims is shared.setdefault(s.dims, s.dims)
-    assert len(shared) < len(subs) == len(tuple(subs))
+    assert len(shared) < len(subs)
     # same dims and matrix entries over another field: another lattice
     other = rep(A3, F2, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
     same_entries = rep(A3, F3, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 0]]})
@@ -187,7 +201,7 @@ def test_submodule_stores_shared_dims():
     subs = enumerate_submodules(r)
     coordinate = [coordinate_submodule(r, beta) for beta in [(0, 0, 0), (0, 0, 1), (1, 2, 1)]]
     first = {}
-    for s in tuple(subs) + tuple(coordinate):
+    for s in members(subs) + coordinate:
         assert type(s) is quivrep.Submodule
         assert not hasattr(s, "__dict__")
         with pytest.raises(AttributeError, match="immutable"):
@@ -199,7 +213,7 @@ def test_submodule_stores_shared_dims():
         assert s.dims is first.setdefault(s.dims, s.dims)
     assert len(first) < len(subs)
     # the checked construction rebuilds an equal member; so does copying
-    member = subs[len(subs) // 2]
+    member = subs.member(len(subs) // 2)
     for again in (quivrep.Submodule(r, member.rows, member.pivots), copy.copy(member)):
         assert again == member and hash(again) == hash(member) and again.dims is member.dims
     with pytest.raises(SchemaError, match="not arrow-invariant"):
@@ -222,7 +236,8 @@ def test_member_loop_against_span_closure(quiver, dims, field):
         if trial == 4:
             maps[quiver.arrows[0].name] = [[0] * dims[quiver.arrows[0].src - 1]] * dims[quiver.arrows[0].tgt - 1]
         r = rep(quiver, field, dims, maps)
-        subs = enumerate_submodules(r)
+        lattice = enumerate_submodules(r)
+        subs = members(lattice)
         as_sets = [submodule_as_sets(s) for s in subs]
         assert len(set(as_sets)) == len(subs)
         assert set(as_sets) == submodule_sets_bruteforce(r)
@@ -235,8 +250,15 @@ def test_member_loop_against_span_closure(quiver, dims, field):
         first = {}
         for i, s in enumerate(subs):
             first.setdefault(s.dims, i)
-        assert list(subs.classes()) == list(first.items())
-        assert [subs.member(i) for i in range(len(subs))] == list(subs)
+        assert list(lattice.classes()) == list(first.items())
+        assert lattice.member(-1) == subs[-1] and subs[-1].is_full
+        # the walk: each member strictly above or strictly inside a step, by index
+        for step in subs:
+            for above in (True, False):
+                want = [(C.dims, C.total_dim, i) for i, C in enumerate(subs)
+                        if (C.total_dim > step.total_dim and C.contains(step) if above
+                            else C.total_dim < step.total_dim and step.contains(C))]
+                assert lattice.walk(step, above) == want
 
 
 def test_against_independent_enumerator():
@@ -245,7 +267,7 @@ def test_against_independent_enumerator():
         from support import random_rep
 
         r = random_rep(rng, quiver, field, max_total=4, max_per_vertex=2)
-        fast = {submodule_as_sets(s) for s in enumerate_submodules(r)}
+        fast = {submodule_as_sets(s) for s in members(enumerate_submodules(r))}
         slow = submodule_sets_bruteforce(r)
         assert fast == slow
 
@@ -258,7 +280,7 @@ def test_dims_additivity_on_instances():
 
 def test_lattice_sanity_on_instances():
     for _, r, _Z in instance_stream(seed=12, count=15, max_total=5, max_per_vertex=3):
-        subs = enumerate_submodules(r)
+        subs = members(enumerate_submodules(r))
         dims = [s.dims for s in subs]
         assert (0,) * r.quiver.n in dims
         assert r.dims in dims
@@ -274,7 +296,7 @@ def test_subquotient_lattice_correspondence():
     # span-closure oracle counts them on the row-reduced subquotient
     pairs = 0
     for _, r, _Z in instance_stream(seed=14, count=12, max_total=4, max_per_vertex=2):
-        subs = enumerate_submodules(r)
+        subs = members(enumerate_submodules(r))
         for A in subs:
             for B in subs:
                 if not B.contains(A):
@@ -312,10 +334,10 @@ def test_direct_sum_shapes(a2_reps):
 def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
     P = a2_reps["P"]
     zero, full = zero_submodule(P), full_submodule(P)
-    (s2,) = [s for s in enumerate_submodules(P) if s.dims == (0, 1)]
+    (s2,) = [s for s in members(enumerate_submodules(P)) if s.dims == (0, 1)]
     # partial at vertex 2, where its line holds the image of vertex 1
     r = rep(A2, F2, (1, 2), {"a": [[1], [0]]})
-    (line,) = [s for s in enumerate_submodules(r) if s.dims == (1, 1)]
+    (line,) = [s for s in members(enumerate_submodules(r)) if s.dims == (1, 1)]
 
     def no_span_test(*args):
         raise AssertionError("in_span called")
@@ -328,3 +350,27 @@ def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
     assert full.contains(s2)
     with pytest.raises(AssertionError, match="in_span called"):
         line.contains(line)
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_QUIVERS))
+def test_backward_arrows_against_span_closure(name):
+    # an arrow into an earlier vertex is checked when its source is chosen
+    quiver = BACKWARD_QUIVERS[name]
+    rng = random.Random(name)
+    for field in (F2, F3):
+        for _ in range(6):
+            r = random_rep(rng, quiver, field, max_total=4, max_per_vertex=2)
+            lattice = enumerate_submodules(r)
+            as_sets = [submodule_as_sets(s) for s in members(lattice)]
+            assert len(set(as_sets)) == len(lattice)
+            assert set(as_sets) == submodule_sets_bruteforce(r)
+
+
+def test_submodules_of_different_parents_differ():
+    # equal rows in representations with equal dims but different maps
+    P, SS = rep(A2, F2, (1, 1), {"a": [[1]]}), rep(A2, F2, (1, 1), {"a": [[0]]})
+    for build in (zero_submodule, full_submodule):
+        mine, theirs = build(P), build(SS)
+        assert mine.rows == theirs.rows and mine != theirs and len({mine, theirs}) == 2
+        again = build(rep(A2, F2, (1, 1), {"a": [[1]]}))
+        assert again.parent is not P and again == mine and hash(again) == hash(mine)

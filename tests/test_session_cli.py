@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from stabkit import cli
-from stabkit.errors import CycleError, InvariantViolation, SchemaError
+from stabkit.errors import CycleError, InvariantViolation, SchemaError, StabkitError
 from stabkit.quivrep import enumerate_submodules
 from stabkit.session import parse_session, serialize_session
 
@@ -288,6 +288,26 @@ def test_cli_precondition_exit_2(fixture_path):
                          "--eps", "1/10", "--testset", "basic")
     assert code == 2
     assert json.loads(text)["error"] == "HypothesisViolatedError"
+
+
+def test_cli_argument_errors_exit_2_with_payload(fixture_path, capsys):
+    cases = {("--cap", "x"): "argument --cap: invalid int value: 'x'",
+             ("--output", "yaml"): "argument --output: invalid choice: 'yaml'"}
+    for option, message in cases.items():
+        argv = ["--input", str(fixture_path), *option, "semistable", "P", "Zstd"]
+        code, text = cli.run(argv)
+        payload = json.loads(text)
+        assert code == 2 and payload["ok"] is False and payload["command"] is None
+        assert payload["error"] == "StabkitError" and message in payload["message"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == payload
+    # the parser's error hook raises, so no parser exits the process
+    with pytest.raises(StabkitError, match="^stabkit: bad$"):
+        cli.build_parser().error("bad")
+    with pytest.raises(SystemExit) as exc:  # --help still prints and exits 0
+        cli.run(["--help"])
+    assert exc.value.code == 0 and "usage: stabkit" in capsys.readouterr().out
 
 
 def test_cli_invariant_violation_exit_3(fixture_path, monkeypatch):

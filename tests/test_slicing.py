@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stabkit.exactnum import PhaseKey
-from stabkit.quivrep import Arrow, Quiver, all_ses, subquotient, zero_submodule
+from stabkit.quivrep import Arrow, Quiver, subquotient, zero_submodule
 from stabkit.slicing import (
     FormalComplex,
     PhaseInterval,
@@ -17,7 +17,7 @@ from stabkit.slicing import (
 from stabkit.stabspace import StabilityConditionHandle
 from stabkit.errors import FieldMismatchError, ZeroObjectError
 
-from support import A2, F2, F3, ec, charge, instance_stream, labelled, random_charge, rep
+from support import A2, F2, F3, all_ses, ec, charge, instance_stream, labelled, random_charge, rep
 
 
 def fc0(rep):

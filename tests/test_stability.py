@@ -12,7 +12,6 @@ from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
 from stabkit.quivrep import (
     DEFAULT_CAP,
     Submodule,
-    all_ses,
     dim_sub,
     direct_sum,
     enumerate_submodules,
@@ -32,7 +31,7 @@ from stabkit.stability import (
     phase,
 )
 
-from support import A2, A3, F2, F3, KRONECKER, Q, charge, ec, instance_stream, rep
+from support import A2, A3, F2, F3, KRONECKER, Q, all_ses, charge, ec, instance_stream, members, rep
 
 
 def test_phase_examples(z_std):
@@ -236,7 +235,7 @@ def test_z_additivity_and_descending_on_instances():
 
 def _reference_certificate(r, Z):
     own = phase(r.dims, Z)
-    for sub in enumerate_submodules(r):
+    for sub in members(enumerate_submodules(r)):
         if sub.is_zero or sub.is_full:
             continue
         ph = phase(sub.dims, Z)
@@ -246,7 +245,7 @@ def _reference_certificate(r, Z):
 
 
 def _reference_max_sub(r, Z, ties):
-    subs = enumerate_submodules(r)
+    subs = members(enumerate_submodules(r))
     class_phase = functools.cache(lambda beta: phase(beta, Z))
     chain = [zero_submodule(r)]
     phases = []
@@ -270,7 +269,7 @@ def _reference_max_sub(r, Z, ties):
 
 
 def _reference_mdq(r, Z, ties):
-    subs = enumerate_submodules(r)
+    subs = members(enumerate_submodules(r))
     class_phase = functools.cache(lambda beta: phase(beta, Z))
     chain_desc = [full_submodule(r)]
     phases_rev = []
@@ -404,10 +403,34 @@ def test_verdicts_build_only_the_witness(monkeypatch):
         lattice = enumerate_submodules(r)
         assert len(lattice) > 4 and built == witness  # counting builds nothing
         assert lattice.member(-1) == lattice.member(len(lattice) - 1) and lattice.member(-1).is_full
-        # walking the lattice builds every member once
-        built.clear()
-        members = tuple(lattice)
-        assert built == [s.rows for s in members] and tuple(lattice) == members and len(built) == len(members)
+
+
+def test_routes_build_only_what_they_choose(monkeypatch):
+    # P1 + S2^4 over F3, with P1 the projective at vertex 1: 2,876 members.
+    # The max-sub chain is 0 < P1 < r; the first MDQ step ties every kernel
+    # whose quotient is a sum of copies of S2, 211 of them.
+    from stabkit import quivrep
+
+    r = rep(A2, F3, (1, 5), {"a": [[1], [0], [0], [0], [0]]})
+    Z = charge((-1, 1), (1, 1))
+    subs = members(enumerate_submodules(r))
+    real, built = quivrep._member, []
+
+    def counting(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(quivrep, "_member", counting)
+    filt = hn_filtration_max_sub(r, Z, validate=False)
+    assert len(subs) > 2000 and [s.dims for s in filt.chain] == [(0, 0), (1, 1), (1, 5)]
+    assert built == [s.rows for s in filt.chain]
+    built.clear()
+    desc = hn_filtration_mdq(r, Z, validate=False).chain[::-1]
+    tied = [[K.rows for K in subs if K.total_dim < cur.total_dim and cur.contains(K)
+             and phase(dim_sub(cur.dims, K.dims), Z) == phase(dim_sub(cur.dims, nxt.dims), Z)]
+            for cur, nxt in zip(desc, desc[1:])]
+    assert [len(t) for t in tied] == [211, 1] and all(nxt.rows in t for nxt, t in zip(desc[1:], tied))
+    assert built == [desc[0].rows] + tied[0] + tied[1]
 
 
 # --- reference: the separate rational certificate the merged one replaces ---
