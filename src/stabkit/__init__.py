@@ -24,7 +24,6 @@ from .quivrep import (
     enumerate_submodules,
     euler_form,
     hom_dim,
-    simple_rep,
     subquotient,
 )
 from .slicing import FormalComplex, PhaseInterval, containment_check, hn_decompose, in_interval, phi_bounds, slicing_distance

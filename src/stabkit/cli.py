@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -325,6 +326,7 @@ class _Parser(argparse.ArgumentParser):
         raise StabkitError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one parser per process; parse_args fills a fresh namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="stabkit", description=__doc__)
     ap.add_argument("--input", help="session document (JSON)")
@@ -393,6 +395,13 @@ _NEEDS_SESSION = {
     "validate": cmd_validate,
 }
 
+@functools.lru_cache(maxsize=8)
+def _session(text: str) -> SessionDocument:
+    """The parsed session document of a file's text: an edited file is
+    parsed again, and callers share the immutable document.  It calls
+    parse_session by name, so a wrapper bound to that name sees each miss."""
+    return parse_session(text)
+
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch one command; returns (exit code, report text)."""
@@ -409,7 +418,7 @@ def run(argv: list[str]) -> tuple[int, str]:
                     text = fh.read()
             except OSError as exc:
                 raise StabkitError(f"cannot read {args.input}: {exc}") from None
-            doc = parse_session(text)
+            doc = _session(text)
             result = _NEEDS_SESSION[args.command](doc, args)
     except StabkitError as exc:
         payload = {"command": args and args.command, "ok": False,

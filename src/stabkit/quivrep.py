@@ -114,8 +114,8 @@ def euler_form(quiver: Quiver, alpha: DimVector, beta: DimVector) -> int:
     """Bilinear form sum_i a_i b_i - sum_{arrows i->j} a_i b_j.
 
     For representations M, N of an acyclic quiver this equals
-    hom_dim(M, N) - ext1_dim(M, N); ext1_dim is defined through that
-    identity and the cross-check lives in the tests.
+    hom_dim(M, N) - dim Ext^1(M, N); the tests define the Ext^1
+    dimension through that identity and check it on examples.
     """
     if len(alpha) != quiver.n or len(beta) != quiver.n:
         raise SchemaError("/euler_form", f"dimension vectors must have length {quiver.n}")
@@ -164,20 +164,6 @@ class QuiverRep(Frozen):
 
     def __hash__(self):  # dims and maps only: the lattice memo hashes a rep on every call
         return hash((self.dims, self.maps))
-
-
-def zero_rep(quiver: Quiver, F: Field) -> QuiverRep:
-    dims = tuple(0 for _ in quiver.vertices)
-    maps = tuple(tuple() for _ in quiver.arrows)
-    return QuiverRep(quiver, F, dims, maps)
-
-
-def simple_rep(quiver: Quiver, F: Field, vertex: int) -> QuiverRep:
-    dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
-    maps = []
-    for a in quiver.arrows:
-        maps.append(linalg.zero_matrix(F, dims[a.tgt - 1], dims[a.src - 1]))
-    return QuiverRep(quiver, F, dims, tuple(maps))
 
 
 def direct_sum(M: QuiverRep, N: QuiverRep) -> QuiverRep:
@@ -242,9 +228,6 @@ class Submodule(Frozen):
 
     def contains(self, other: "Submodule") -> bool:
         return _contains(self.parent, self.rows, self.pivots, other.rows)
-
-    def sort_key(self):
-        return (self.total_dim, self.dims, self.rows)
 
 
 _set_parent, _set_rows, _set_pivots = Submodule.parent.__set__, Submodule.rows.__set__, Submodule.pivots.__set__
@@ -388,6 +371,11 @@ class SubmoduleLattice(Frozen):
         index = range(len(self._rows))[index]  # a negative index counts from the end
         pivots, dims, total_dim = self._runs[bisect.bisect_right(self._starts, index) - 1]
         return _member(self.rep, self._rows[index], pivots, dims, total_dim)
+
+    def member_contains(self, index: int, sub: Submodule) -> bool:
+        """Whether the member at index contains sub, tested on rows without building the member."""
+        pivots = self._runs[bisect.bisect_right(self._starts, index) - 1][0]
+        return _contains(self.rep, self._rows[index], pivots, sub.rows)
 
     def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, int]]:
         """(dims, total_dim, index) of each member strictly above step, or
@@ -553,9 +541,3 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
                     eq[pos] = F.sub(eq[pos], Na[r][t])
                 rows.append(tuple(eq))
     return total - linalg.rank(F, rows)
-
-
-def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
-    """First extension-space dimension, defined by hom - euler for acyclic quivers."""
-    val = hom_dim(M, N) - euler_form(M.quiver, M.dims, N.dims)
-    return val

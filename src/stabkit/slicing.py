@@ -84,16 +84,22 @@ class DecomposedFactor(NamedTuple):
     key: PhaseKey
 
 
-def _module_hn_factors(rep: QuiverRep, Z: CentralCharge, cap: int):
+def _module_hn_factors(rep: QuiverRep, Z: CentralCharge, cap: int) -> tuple[tuple[QuiverRep, PhaseKey], ...]:
+    """(factor, phase) pairs of rep's filtration under Z, memoised on Z;
+    a refusal is not stored, so it is raised on every call."""
+    if (got := Z._hn.get((rep, cap))) is not None:
+        return got
     if rep.field.is_finite:
         filt = stability.hn_filtration_max_sub(rep, Z, cap, validate=False)
-        return list(zip(filt.factors, filt.phases))
-    cert = stability.is_semistable(rep, Z, cap)
-    if cert.is_semistable:
-        return [(rep, cert.object_phase)]
-    raise UnsupportedVerdictError(
-        "decomposition over Q is only available for semistable representations"
-    )
+        got = tuple(zip(filt.factors, filt.phases))
+    elif (cert := stability.is_semistable(rep, Z, cap)).is_semistable:
+        got = ((rep, cert.object_phase),)
+    else:
+        raise UnsupportedVerdictError(
+            "decomposition over Q is only available for semistable representations"
+        )
+    Z._hn[rep, cap] = got
+    return got
 
 
 def hn_decompose(fc: FormalComplex, S: StabilityConditionHandle,

@@ -39,7 +39,7 @@ from .quivrep import DimVector, QuiverRep, Submodule
 class CentralCharge(Frozen):
     """Linear map Z^n -> C fixed by exact upper-half-plane values on simples."""
 
-    __slots__ = ("values", "_phases")
+    __slots__ = ("values", "_phases", "_hn")
 
     def __init__(self, values: tuple[ExactComplex, ...]):
         object.__setattr__(self, "values", values)
@@ -54,6 +54,7 @@ class CentralCharge(Frozen):
         if len(ds) > 1:
             raise UnsupportedScalarError(f"charge mixes quadratic extensions {sorted(ds)}")
         object.__setattr__(self, "_phases", {})  # phase memo keyed by class; outside ==, hash and repr
+        object.__setattr__(self, "_hn", {})  # slicing's HN-factor memo keyed by (rep, cap); outside them too
 
     @property
     def n(self) -> int:
@@ -244,22 +245,24 @@ def _mdq_kernel(current: Submodule, subs: quivrep.SubmoduleLattice, Z: CentralCh
     B' has phase >= phase(B), with equality only if it factors through
     B; in kernel terms: phase(current/K) is minimal and K is contained
     in every kernel realizing the minimum.  Both conditions are verified
-    exhaustively (on the tied kernels alone built as Submodules); failure
-    cannot happen in a finite-length module category and is therefore
-    reported as an invariant violation.
+    exhaustively: K is a tied kernel of least total dimension, and every
+    other tied kernel, tested from the lattice's rows, must contain it (so
+    a second one of that dimension fails); only K is built as a Submodule.
+    Failure cannot happen in a finite-length module category and is
+    therefore reported as an invariant violation.
     """
     kernels = subs.walk(current, above=False)
     by_class = {beta: phase(quivrep.dim_sub(current.dims, beta), Z)
                 for beta in dict.fromkeys(beta for beta, _, _ in kernels)}
     best = min(by_class.values())
     low_classes = {beta for beta, p in by_class.items() if p == best}
-    tied = [subs.member(index) for beta, _, index in kernels if beta in low_classes]
-    K = min(tied, key=lambda s: s.sort_key())
-    for other in tied:
-        if not other.contains(K):
-            raise InvariantViolation(
-                "no maximally destabilising quotient: phase-minimal quotients do not factor through a common one"
-            )
+    tied = [(total_dim, index) for beta, total_dim, index in kernels if beta in low_classes]
+    first = min(tied)[1]
+    K = subs.member(first)
+    if any(index != first and not subs.member_contains(index, K) for _, index in tied):
+        raise InvariantViolation(
+            "no maximally destabilising quotient: phase-minimal quotients do not factor through a common one"
+        )
     return K
 
 

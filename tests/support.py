@@ -13,7 +13,16 @@ from fractions import Fraction
 
 from stabkit.exactnum import ExactComplex
 from stabkit.linalg import field_by_name
-from stabkit.quivrep import Arrow, Quiver, QuiverRep, enumerate_submodules, full_submodule, subquotient
+from stabkit.quivrep import (
+    Arrow,
+    Quiver,
+    QuiverRep,
+    enumerate_submodules,
+    euler_form,
+    full_submodule,
+    hom_dim,
+    subquotient,
+)
 from stabkit.slicing import FormalComplex
 from stabkit.stability import CentralCharge
 
@@ -56,6 +65,19 @@ def rep(quiver: Quiver, field, dims, maps_by_name=None) -> QuiverRep:
             M = tuple(tuple(field.zero for _ in range(cols_n)) for _ in range(rows_n))
         maps.append(M)
     return QuiverRep(quiver, field, tuple(dims), tuple(maps))
+
+
+def zero_rep(quiver: Quiver, field) -> QuiverRep:
+    return rep(quiver, field, (0,) * quiver.n)
+
+
+def simple_rep(quiver: Quiver, field, vertex: int) -> QuiverRep:
+    return rep(quiver, field, tuple(int(v == vertex) for v in quiver.vertices))
+
+
+def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
+    """First extension-space dimension, defined by hom - euler for acyclic quivers."""
+    return hom_dim(M, N) - euler_form(M.quiver, M.dims, N.dims)
 
 
 def labelled(reps: dict[str, QuiverRep], names) -> list[tuple[str, FormalComplex]]:

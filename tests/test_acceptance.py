@@ -16,7 +16,7 @@ from functools import lru_cache
 from stabkit.ellcurve import NumClass, charge_of_element, classify, modular_reduce, std_charge
 from stabkit.errors import HypothesisViolatedError
 from stabkit.exactnum import ExactComplex, QuadScalar, normalize_direction
-from stabkit.quivrep import hom_dim, simple_rep
+from stabkit.quivrep import hom_dim
 from stabkit.slicing import slicing_distance
 from stabkit.stability import (
     CentralCharge,
@@ -41,7 +41,7 @@ from stabkit.stabspace import (
     stab_distance,
 )
 
-from support import A2, F2, charge, ec, instance_stream, labelled, members, random_charge
+from support import A2, F2, charge, ec, instance_stream, labelled, members, random_charge, simple_rep
 
 TOL_MASS = 2.0 ** -30
 TOL_LOG = 1e-12

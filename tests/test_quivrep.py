@@ -18,13 +18,10 @@ from stabkit.quivrep import (
     direct_sum,
     enumerate_submodules,
     euler_form,
-    ext1_dim,
     full_submodule,
     hom_dim,
-    simple_rep,
     sub_dims,
     subquotient,
-    zero_rep,
     zero_submodule,
 )
 
@@ -37,12 +34,15 @@ from support import (
     KRONECKER,
     Q,
     all_ses,
+    ext1_dim,
     instance_stream,
     members,
     random_rep,
     rep,
+    simple_rep,
     submodule_as_sets,
     submodule_sets_bruteforce,
+    zero_rep,
 )
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -7,14 +8,19 @@ import random
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from stabkit import cli
 from stabkit.errors import CycleError, InvariantViolation, SchemaError, StabkitError
+from stabkit.exactnum import QuadScalar
 from stabkit.quivrep import enumerate_submodules
 from stabkit.session import parse_session, serialize_session
+from stabkit.stabspace import cmp_roots
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_fixture_loads(fixture_path):
@@ -189,6 +195,54 @@ def test_cli_walls_auto_pairs(fixture_path):
     assert {e["t_float"] for e in result["events"]} == {0.5}
 
 
+def _session_ops_documents(seed):
+    """The eight session documents of the benchmark's session-ops workload
+    for a seed, from the benchmark's own generator (which imports nothing
+    of stabkit); the configurations are those of its SessionOps.CONFIGS."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    configs = (("A2", 2, None), ("A3", 3, None), ("K2", 2, None), ("A2", 3, 2),
+               ("A3", 2, None), ("K2", 3, 5), ("A2", 2, 3), ("K2", 2, None))
+    return [gen.session(gen.rng_for("session-ops", seed, i), qname, p, d, n_paths=8)[0]
+            for i, (qname, p, d) in enumerate(configs)]
+
+
+def _root_value(raw):
+    if raw["p"] is not None:
+        return Fraction(int(raw["p"]), int(raw["q"]))
+    return QuadScalar(Fraction(raw["a"]), Fraction(raw["b"]), raw["disc"])
+
+
+def test_cli_walls_explain_every_verdict_flip(tmp_path):
+    # cross(Z_t(beta), Z_t(d)) is continuous in t, so a tracked
+    # representation of class d can change its verdict between two adjacent
+    # chamber samples only across an event of one of its own pairs (beta, d).
+    docs = _session_ops_documents(101)
+    docs += [json.loads((ROOT / "fixtures" / name).read_text())
+             for name in ("a2_session.json", "a3_sqrt2_session.json")]
+    flips = 0
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps(doc))
+        for name in doc["paths"]:
+            code, text = run_cli("--input", str(path), "walls", name, "--pairs", "auto")
+            assert code == 0, text
+            result = json.loads(text)["result"]
+            events = [(_root_value(e["t_exact"]), e["pair"][1]) for e in result["events"]]
+            samples = result["chamber_samples"]
+            for left, right in zip(samples, samples[1:]):
+                lo, hi = Fraction(left["t"]), Fraction(right["t"])
+                for rep, verdict in left["verdicts"].items():
+                    if right["verdicts"][rep] == verdict:
+                        continue
+                    flips += 1
+                    dims = doc["reps"][rep]["dims"]
+                    assert any(total == dims and cmp_roots(lo, t) < 0 < cmp_roots(hi, t) for t, total in events), \
+                        (i, name, rep, left["t"], right["t"])
+    assert flips >= 80  # 86 at this seed: the check is not vacuous
+
+
 def test_cli_validate_all(fixture_path):
     code, text = run_cli("--input", str(fixture_path), "validate", "Zstd", "--testset", "all")
     assert code == 0
@@ -325,6 +379,46 @@ def test_cli_json_byte_determinism(fixture_path):
     assert run_cli(*args) == run_cli(*args)
 
 
+def test_cli_session_memo_is_keyed_by_text(fixture_path, tmp_path):
+    doc = json.loads(fixture_path.read_text())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--input", str(path), "semistable", "P", "Zstd"]
+    assert json.loads(cli.run(argv)[1])["result"]["verdict"] == "semistable"
+    doc["charges"]["Zstd"] = doc["charges"]["Zflip"]  # the same path, rewritten
+    path.write_text(json.dumps(doc))
+    assert json.loads(cli.run(argv)[1])["result"]["verdict"] == "unstable"
+
+
+def test_cli_session_memo_stays_bounded(fixture_path, tmp_path):
+    text = fixture_path.read_text()
+    info = cli._session.cache_info()
+    for i in range(info.maxsize + 3):  # distinct texts of one document
+        path = tmp_path / f"s{i}.json"
+        path.write_text(text + " " * i)
+        assert cli.run(["--input", str(path), "discrete", "Zstd"])[0] == 0
+        assert cli._session.cache_info().currsize <= info.maxsize
+    hits = cli._session.cache_info().hits
+    assert cli.run(["--input", str(path), "discrete", "Zstd"])[0] == 0
+    assert cli._session.cache_info().hits == hits + 1
+
+
+def test_cli_parser_is_built_once_and_namespaces_are_fresh(fixture_path, monkeypatch):
+    seen = []
+
+    def recording(doc, args):
+        seen.append(args)
+        return cli.cmd_walls(doc, args)
+
+    monkeypatch.setitem(cli._NEEDS_SESSION, "walls", recording)
+    base = ["--input", str(fixture_path), "walls", "path1"]
+    events = [len(json.loads(cli.run(base + extra)[1])["result"]["events"])
+              for extra in (["--pairs", "auto"], [], ["--pairs", "explicit"], [])]
+    assert [args.pairs for args in seen] == ["auto", None, "explicit", None]
+    assert events == [2, 1, 1, 1]  # path1 declares one explicit pair; auto pairs give two events
+    assert len({id(args) for args in seen}) == 4 and cli.build_parser() is cli.build_parser()
+
+
 def _malformed_fixture_exit(fixture_path, tmp_path, mutate, command=("semistable", "P", "Zstd")):
     doc = json.loads(fixture_path.read_text())
     mutate(doc)
@@ -337,10 +431,11 @@ def _malformed_fixture_exit(fixture_path, tmp_path, mutate, command=("semistable
 
 
 def test_cli_list_in_testset_exit_2(fixture_path, tmp_path):
-    code, message = _malformed_fixture_exit(
-        fixture_path, tmp_path, lambda doc: doc["testsets"].update(bad=["S1", ["S2"]]))
-    assert code == 2
-    assert message.startswith("at /testsets/bad/1:")
+    for _ in range(3):  # a refused text is parsed, and refused, on every call
+        code, message = _malformed_fixture_exit(
+            fixture_path, tmp_path, lambda doc: doc["testsets"].update(bad=["S1", ["S2"]]))
+        assert code == 2
+        assert message.startswith("at /testsets/bad/1:")
 
 
 def test_cli_list_as_complex_part_exit_2(fixture_path, tmp_path):

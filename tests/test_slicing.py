@@ -15,9 +15,9 @@ from stabkit.slicing import (
     slicing_distance,
 )
 from stabkit.stabspace import StabilityConditionHandle
-from stabkit.errors import FieldMismatchError, ZeroObjectError
+from stabkit.errors import CapExceededError, FieldMismatchError, UnsupportedVerdictError, ZeroObjectError
 
-from support import A2, F2, F3, all_ses, ec, charge, instance_stream, labelled, random_charge, rep
+from support import A2, F2, F3, Q, all_ses, ec, charge, instance_stream, labelled, random_charge, rep
 
 
 def fc0(rep):
@@ -189,3 +189,38 @@ def test_decompose_refuses_an_object_over_another_heart(a2_reps, z_std):
         hn_decompose(over_f3, handle(z_std))
     with pytest.raises(FieldMismatchError):
         hn_decompose(fc0(a2_reps["P"]), StabilityConditionHandle(A2, F3, z_std))
+
+
+def test_hn_factors_are_memoised_per_charge(a2_reps, monkeypatch):
+    from stabkit import stability
+
+    real, calls = stability.hn_filtration_max_sub, []
+
+    def counting(r, *args, **kwargs):
+        calls.append(r.dims)
+        return real(r, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "hn_filtration_max_sub", counting)
+    Z, twin = charge((1, 1), (-1, 1)), charge((1, 1), (-1, 1))
+    P = fc0(a2_reps["P"])
+    first = hn_decompose(P, handle(Z))
+    assert [f.factor.dims for f in first] == [(0, 1), (1, 0)]
+    assert hn_decompose(P, handle(Z)) == first and calls == [(1, 1)]
+    # a charge built apart with equal values has a memo of its own and gives equal factors
+    assert twin == Z and hash(twin) == hash(Z) and repr(twin) == repr(Z)
+    assert hn_decompose(P, handle(twin)) == first and calls == [(1, 1), (1, 1)]
+
+
+def test_hn_factor_refusals_are_raised_on_every_call(a2_reps):
+    Z = charge((1, 1), (-1, 1))
+    P = fc0(a2_reps["P"])
+    for _ in range(2):
+        with pytest.raises(CapExceededError):
+            hn_decompose(P, handle(Z), cap=1)
+    assert len(hn_decompose(P, handle(Z))) == 2  # the default cap admits P
+    with pytest.raises(CapExceededError):  # the memo is keyed by the cap as well
+        hn_decompose(P, handle(Z), cap=1)
+    over_q = fc0(rep(A2, Q, (1, 1), {"a": [[1]]}))  # unstable under Z, so refused over Q
+    for _ in range(2):
+        with pytest.raises(UnsupportedVerdictError):
+            hn_decompose(over_q, StabilityConditionHandle(A2, Q, Z))

@@ -16,7 +16,6 @@ from stabkit.quivrep import (
     direct_sum,
     enumerate_submodules,
     full_submodule,
-    zero_rep,
     zero_submodule,
 )
 from stabkit.stability import (
@@ -31,7 +30,7 @@ from stabkit.stability import (
     phase,
 )
 
-from support import A2, A3, F2, F3, KRONECKER, Q, all_ses, charge, ec, instance_stream, members, rep
+from support import A2, A3, F2, F3, KRONECKER, Q, all_ses, charge, ec, instance_stream, members, rep, zero_rep
 
 
 def test_phase_examples(z_std):
@@ -280,7 +279,7 @@ def _reference_mdq(r, Z, ties):
         best = min(ph for ph, _ in kernels)
         tied = [K for ph, K in kernels if ph == best]
         ties.append(len({K.dims for K in tied}) > 1)
-        K = min(tied, key=lambda s: s.sort_key())
+        K = min(tied, key=lambda s: (s.total_dim, s.dims, s.rows))
         for other in tied:
             if not other.contains(K):
                 raise InvariantViolation(
@@ -430,7 +429,19 @@ def test_routes_build_only_what_they_choose(monkeypatch):
              and phase(dim_sub(cur.dims, K.dims), Z) == phase(dim_sub(cur.dims, nxt.dims), Z)]
             for cur, nxt in zip(desc, desc[1:])]
     assert [len(t) for t in tied] == [211, 1] and all(nxt.rows in t for nxt, t in zip(desc[1:], tied))
-    assert built == [desc[0].rows] + tied[0] + tied[1]
+    assert built == [s.rows for s in desc]  # its chain only: the tied kernels are tested from rows
+
+
+def test_mdq_refuses_tied_kernels_without_a_common_one(monkeypatch):
+    # Phases rigged so that SS/S1 and SS/S2 tie below SS itself: the two
+    # tied kernels share the least total dimension and neither contains the
+    # other, so the minimal-phase route must refuse rather than pick one.
+    from stabkit import stability
+
+    low, high = PhaseKey(0, ec(1, 1)), PhaseKey(0, ec(0, 1))
+    monkeypatch.setattr(stability, "phase", lambda beta, Z: high if tuple(beta) == (1, 1) else low)
+    with pytest.raises(InvariantViolation, match="no maximally destabilising quotient"):
+        hn_filtration_mdq(rep(A2, F2, (1, 1)), charge((-1, 1), (1, 1)), validate=False)
 
 
 # --- reference: the separate rational certificate the merged one replaces ---
