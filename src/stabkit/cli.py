@@ -184,6 +184,17 @@ def cmd_walls(doc: SessionDocument, args) -> dict:
     }
 
 
+_DRIFT_COLUMNS = ("object", "lo_drift", "hi_drift", "log_mass_ratio")
+
+
+def _drift_table(rows) -> tuple[list[dict], list[tuple]]:
+    """JSON objects and CSV rows of a nonempty tuple of drift records
+    (slicing.ObjectDrift or stabspace.StabDistanceRow): their fields,
+    in order, are the columns."""
+    columns = _DRIFT_COLUMNS[:len(rows[0])]
+    return [dict(zip(columns, r)) for r in rows], [columns, *rows]
+
+
 def cmd_deform(doc: SessionDocument, args) -> dict:
     Z = doc.charge(args.charge)
     W = doc.charge(args.charge_w)
@@ -191,6 +202,7 @@ def cmd_deform(doc: SessionDocument, args) -> dict:
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
     eps = parse_rational(args.eps)
     tau, report = stabspace.deform(sigma, W.values, eps, testset, args.cap)
+    conclusion, csv_rows = _drift_table(report.drifts)
     return {
         "charge": args.charge,
         "charge_w": args.charge_w,
@@ -198,14 +210,10 @@ def cmd_deform(doc: SessionDocument, args) -> dict:
         "hypothesis": [
             {"object": r.label, "margin": r.margin, "boundary": False} for r in report.hypothesis
         ],
-        "conclusion": [
-            {"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff} for r in report.drifts
-        ],
+        "conclusion": conclusion,
         "d_testset": report.distance,
         "kind": "lower_bound",
-        "csv_rows": [("object", "lo_drift", "hi_drift")] + [
-            (r.label, r.lo_diff, r.hi_diff) for r in report.drifts
-        ],
+        "csv_rows": csv_rows,
     }
 
 
@@ -215,27 +223,17 @@ def cmd_metric(doc: SessionDocument, args) -> dict:
     testset = doc.testset(args.testset)
     s1 = StabilityConditionHandle(doc.quiver, doc.field, Z1)
     s2 = StabilityConditionHandle(doc.quiver, doc.field, Z2)
-    if args.which == "slicing":
-        rep = slicing.slicing_distance(s1, s2, testset, args.cap)
-        rows = [("object", "lo_drift", "hi_drift")] + [(r.label, r.lo_diff, r.hi_diff) for r in rep.rows]
-        body = [{"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff} for r in rep.rows]
-    else:
-        rep = stabspace.stab_distance(s1, s2, testset, args.cap)
-        rows = [("object", "lo_drift", "hi_drift", "log_mass_ratio")] + [
-            (r.label, r.lo_diff, r.hi_diff, r.log_mass_ratio) for r in rep.rows
-        ]
-        body = [
-            {"object": r.label, "lo_drift": r.lo_diff, "hi_drift": r.hi_diff, "log_mass_ratio": r.log_mass_ratio}
-            for r in rep.rows
-        ]
+    distance = slicing.slicing_distance if args.which == "slicing" else stabspace.stab_distance
+    rep = distance(s1, s2, testset, args.cap)
+    objects, csv_rows = _drift_table(rep.rows)
     return {
         "metric": args.which,
         "charge1": args.charge1,
         "charge2": args.charge2,
         "value": rep.value,
         "kind": "lower_bound",
-        "objects": body,
-        "csv_rows": rows,
+        "objects": objects,
+        "csv_rows": csv_rows,
     }
 
 

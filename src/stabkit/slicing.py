@@ -177,7 +177,7 @@ class ObjectDrift(NamedTuple):
 
 class DistanceReport(NamedTuple):
     value: float
-    rows: tuple[ObjectDrift, ...]
+    rows: tuple  # ObjectDrifts, or stabspace.StabDistanceRows with a mass term
 
 
 def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,

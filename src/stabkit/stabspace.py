@@ -300,12 +300,12 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
            eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP):
     """Heart-preserving charge deformation with a verified conclusion.
 
-    Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every testset object
-    semistable in sigma, decided through exact squared-modulus
-    comparisons against certified sin bounds (borderline rejected with a
-    flag).  Returns the deformed handle plus a report whose finite-
-    testset slicing distance must come out below eps; anything else is a
-    hard failure, not a warning.
+    Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every sigma-HN
+    factor E of every testset object, decided through exact
+    squared-modulus comparisons against certified sin bounds (borderline
+    rejected with a flag).  Returns the deformed handle plus a report
+    whose finite-testset slicing distance must come out below eps;
+    anything else is a hard failure, not a warning.
     """
     if not sigma.g.is_identity:
         raise StabkitError("deform expects an unacted handle; apply the plane action afterwards")
@@ -320,29 +320,35 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
     W = CentralCharge(w_values)
     Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
-    hyp_rows = []
-    for label, fc in testset:
-        if sigma.semistable_phase(fc, cap) is None:
-            continue
-        alpha = fc.class_vector()
+
+    def margin(where: str, alpha: DimVector) -> float:
         z = Z.of(alpha)
         u = W.of(alpha) - z
         u2 = u.abs_squared()
         z2 = z.abs_squared()
-        holds = sign_of(s_lo * s_lo * z2 - u2) > 0
-        firm_fail = sign_of(u2 - s_hi * s_hi * z2) >= 0
-        margin = _float_sqrt_scalar(z2) * float((s_lo + s_hi) / 2) - _float_sqrt_scalar(u2)
-        if holds:
-            hyp_rows.append(HypothesisRow(label, margin))
-        elif firm_fail:
+        if sign_of(s_lo * s_lo * z2 - u2) <= 0:
+            if sign_of(u2 - s_hi * s_hi * z2) >= 0:
+                raise HypothesisViolatedError(
+                    f"deformation hypothesis fails on {where}: |W-Z| exceeds sin(pi*eps)|Z|"
+                )
             raise HypothesisViolatedError(
-                f"deformation hypothesis fails on {label}: |W-Z| exceeds sin(pi*eps)|Z|"
-            )
-        else:
-            raise HypothesisViolatedError(
-                f"deformation hypothesis is within the certified rounding band on {label}; "
+                f"deformation hypothesis is within the certified rounding band on {where}; "
                 "rejected conservatively"
             )
+        return _float_sqrt_scalar(z2) * float((s_lo + s_hi) / 2) - _float_sqrt_scalar(u2)
+
+    # one row per semistable object; the other objects' factors are checked
+    # after them all (a shift only flips the sign of both charges)
+    hyp_rows, unstable = [], []
+    for label, fc in testset:
+        factors = slicing.hn_decompose(fc, sigma, cap)
+        if len(factors) == 1:
+            hyp_rows.append(HypothesisRow(label, margin(label, factors[0].factor.dims)))
+        else:
+            unstable.append((label, factors))
+    for label, factors in unstable:
+        for f in factors:
+            margin(f"{label} (its HN factor of class {list(f.factor.dims)})", f.factor.dims)
     tau = StabilityConditionHandle(sigma.quiver, sigma.field, W)
     dist = slicing.slicing_distance(sigma, tau, testset, cap)
     if not dist.value < float(eps):
@@ -367,13 +373,8 @@ class StabDistanceRow(NamedTuple):
         return max(abs(self.lo_diff), abs(self.hi_diff), abs(self.log_mass_ratio))
 
 
-class StabDistanceReport(NamedTuple):
-    value: float
-    rows: tuple[StabDistanceRow, ...]
-
-
 def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                  testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> StabDistanceReport:
+                  testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> slicing.DistanceReport:
     """Finite-testset lower bound for the metric on the space of
     stability conditions: phase drifts plus log mass ratios.
 
@@ -398,7 +399,7 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
             phase_diff_float(s2.g.anchored(f2[0].key), s1.g.anchored(f1[0].key)),
             math.log(float(m2 / m1)),
         ))
-    return StabDistanceReport(max(r.value for r in rows), tuple(rows))
+    return slicing.DistanceReport(max(r.value for r in rows), tuple(rows))
 
 
 class ChargePath(Frozen):

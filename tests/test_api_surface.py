@@ -5,9 +5,12 @@ somewhere, and no public function may be a bare alias.
 A name counts as used when the syntax tree of a module under
 ``src/stabkit`` or of a file under ``tests/`` loads it, as a plain name
 or as an attribute, f-strings and annotations included.  Definitions,
-imports, strings and comments are not uses, and the package
-``__init__`` only re-exports, so it does not count.  A name nothing uses
-is a dead export: delete it rather than keep it.
+imports, strings and comments are not uses.  A name nothing uses is a
+dead export: delete it rather than keep it.
+
+The package ``__init__`` binds no public name but ``__version__``: each
+name has one home, the module that defines it, and is imported from
+there.
 
 An alias wrapper is a public top-level function whose body, after an
 optional docstring, is one ``return f(...)`` passing exactly its own
@@ -41,6 +44,18 @@ def public_definitions():
                 continue
             out += [(path, name) for name in names if not name.startswith("_")]
     return out
+
+
+def test_package_root_binds_only_the_version():
+    bound = []
+    for node in ast.parse((PKG / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        if isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+            bound += [t.id for t in node.targets]
+        else:
+            bound.append(ast.unparse(node).splitlines()[0])
+    assert bound == ["__version__"]
 
 
 def public_members():

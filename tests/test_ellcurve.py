@@ -38,6 +38,19 @@ def test_std_charge_examples():
     assert std_charge(NumClass(2, 3)) == ec(-3, 2)
 
 
+def test_numerical_charge_of_matches_std_charge_and_classify():
+    rng = random.Random(2401)
+    for _ in range(50):
+        c = NumClass(rng.randint(-6, 6), rng.randint(-6, 6))
+        assert NumericalCharge(MAT_STD).of(c) == std_charge(c)
+        while True:
+            M = mat2(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
+            if mat2_det(M) > 0:
+                break
+        Zn = NumericalCharge(M)
+        assert charge_of_element(classify(Zn)).of(c) == Zn.of(c)
+
+
 def test_classify_standard_is_identity():
     g = classify(NumericalCharge(MAT_STD))
     assert g.is_identity

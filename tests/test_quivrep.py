@@ -331,6 +331,18 @@ def test_direct_sum_shapes(a2_reps):
     assert hom_dim(s, s) >= 2
 
 
+def test_direct_sum_is_block_diagonal_and_hom_is_additive():
+    M = rep(A3, F3, (1, 1, 0), {"a": [[2]]})
+    N = rep(A3, F3, (1, 2, 1), {"a": [[1], [0]], "b": [[1, 2]]})
+    s = direct_sum(M, N)
+    assert s.dims == (2, 3, 1)
+    assert s.maps == (((2, 0), (0, 1), (0, 0)), ((0, 1, 2),))
+    others = [simple_rep(A3, F3, v) for v in (1, 2, 3)] + [M, N, rep(A3, F3, (0, 1, 1), {"b": [[1]]})]
+    for L in others:
+        assert hom_dim(s, L) == hom_dim(M, L) + hom_dim(N, L)
+        assert hom_dim(L, s) == hom_dim(L, M) + hom_dim(L, N)
+
+
 def test_contains_rejects_larger_dims_before_span_tests(a2_reps, monkeypatch):
     P = a2_reps["P"]
     zero, full = zero_submodule(P), full_submodule(P)

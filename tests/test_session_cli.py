@@ -344,6 +344,38 @@ def test_cli_precondition_exit_2(fixture_path):
     assert json.loads(text)["error"] == "HypothesisViolatedError"
 
 
+def test_cli_deform_checks_the_hn_factors_of_unstable_objects(tmp_path):
+    # R = (S2 -> S3) is not semistable under Z; its HN factor S3 moves by
+    # |W - Z| / |Z| = 1.31 > sin(pi/10), so the hypothesis fails (exit 2)
+    # before the conclusion can (exit 3)
+    def z(re, im):
+        return {"re": re, "im": im}
+
+    doc = {
+        "quiver": {"vertices": 3, "arrows": [{"name": "a", "src": 1, "tgt": 2}, {"name": "b", "src": 2, "tgt": 3}]},
+        "field": "F3",
+        "reps": {"S1": {"dims": [1, 0, 0], "maps": {}}, "S2": {"dims": [0, 1, 0], "maps": {}},
+                 "R": {"dims": [0, 1, 1], "maps": {"b": [[1]]}}},
+        "charges": {"Z": {"z": [z("7", "4"), z("0", "1"), z("-1/2", "1")]},
+                    "W": {"z": [z("6", "6"), z("0", "1"), z("-15/8", "3/2")]},
+                    "W_far": {"z": [z("3", "6"), z("0", "1"), z("-15/8", "3/2")]}},
+        "testsets": {"T": ["S1", "S2", "R"], "semistable": ["S1", "S2"], "R_first": ["R", "S1", "S2"]},
+    }
+    session = tmp_path / "a3.json"
+    session.write_text(json.dumps(doc))
+    code, text = run_cli("--input", str(session), "deform", "Z", "W", "--eps", "1/10", "--testset", "T")
+    payload = json.loads(text)
+    assert code == 2 and payload["error"] == "HypothesisViolatedError"
+    assert payload["message"] == ("deformation hypothesis fails on R (its HN factor of class [0, 0, 1]): "
+                                  "|W-Z| exceeds sin(pi*eps)|Z|")
+    code, text = run_cli("--input", str(session), "deform", "Z", "W", "--eps", "1/10", "--testset", "semistable")
+    result = json.loads(text)["result"]
+    assert code == 0 and [h["object"] for h in result["hypothesis"]] == ["S1", "S2"]
+    # the semistable objects are checked before the factors of the others
+    code, text = run_cli("--input", str(session), "deform", "Z", "W_far", "--eps", "1/10", "--testset", "R_first")
+    assert code == 2 and json.loads(text)["message"].startswith("deformation hypothesis fails on S1:")
+
+
 def test_cli_argument_errors_exit_2_with_payload(fixture_path, capsys):
     cases = {("--cap", "x"): "argument --cap: invalid int value: 'x'",
              ("--output", "yaml"): "argument --output: invalid choice: 'yaml'"}
@@ -362,6 +394,38 @@ def test_cli_argument_errors_exit_2_with_payload(fixture_path, capsys):
     with pytest.raises(SystemExit) as exc:  # --help still prints and exits 0
         cli.run(["--help"])
     assert exc.value.code == 0 and "usage: stabkit" in capsys.readouterr().out
+
+
+def test_cli_refusals_exit_2_with_payload(fixture_path, tmp_path):
+    no_pairs = json.loads(fixture_path.read_text())
+    del no_pairs["paths"]["path1"]["pairs"]
+    session = tmp_path / "no_pairs.json"
+    session.write_text(json.dumps(no_pairs))
+    missing = tmp_path / "missing.json"
+    cases = [  # argv, command, message
+        (["curve", "classify", "--matrix", "1,2,3"], "curve", "--matrix expects 'a,b,c,d', got '1,2,3'"),
+        (["--input", str(session), "walls", "path1", "--pairs", "explicit"], "walls",
+         "path 'path1' declares no explicit pairs"),
+        (["semistable", "P", "Zstd"], "semistable", "--input FILE is required for this command"),
+        (["--input", str(missing), "semistable", "P", "Zstd"], "semistable", f"cannot read {missing}: "),
+    ]
+    for argv, command, message in cases:
+        code, text = cli.run(argv)
+        payload = json.loads(text)
+        assert code == 2 and payload["ok"] is False and payload["command"] == command, argv
+        assert payload["error"] == "StabkitError" and payload["message"].startswith(message), argv
+
+
+def test_cli_decompose_over_q(fixture_path, tmp_path):
+    doc = json.loads(fixture_path.read_text())
+    doc["field"] = "Q"
+    session = tmp_path / "over_q.json"
+    session.write_text(json.dumps(doc))
+    code, text = run_cli("--input", str(session), "decompose", "P", "Zstd")
+    factors = json.loads(text)["result"]["factors"]
+    assert code == 0 and [(f["shift"], f["dims"], f["phase"]["float_phase"]) for f in factors] == [(0, [1, 1], 0.5)]
+    code, text = run_cli("--input", str(session), "decompose", "P", "Zflip")
+    assert code == 2 and json.loads(text)["error"] == "UnsupportedVerdictError"
 
 
 def test_cli_invariant_violation_exit_3(fixture_path, monkeypatch):

@@ -47,6 +47,21 @@ def test_decompose_unstable_module(a2_reps, z_flip):
     assert [round(f.key.float_value(), 6) for f in out] == [0.75, 0.25]
 
 
+def test_decompose_over_q_of_a_semistable_module(z_std):
+    P = rep(A2, Q, (1, 1), {"a": [[1]]})  # semistable under z_std
+    out = hn_decompose(fc0(P), StabilityConditionHandle(A2, Q, z_std))
+    assert [(f.shift, f.factor) for f in out] == [(0, P)]
+    assert out[0].key.float_value() == 0.5
+
+
+def test_direct_sum_merges_parts_at_one_shift(a2_reps):
+    S1, S2, P = a2_reps["S1"], a2_reps["S2"], a2_reps["P"]
+    fc = FormalComplex(((1, S2), (0, S1))).direct_sum(FormalComplex(((0, P), (-1, S1))))
+    assert [(k, r.dims, r.maps) for k, r in fc.parts] == [
+        (1, (0, 1), (((),),)), (0, (2, 1), (((0, 1),),)), (-1, (1, 0), ((),)),
+    ]
+
+
 def test_decompose_zero_rejected(z_std):
     with pytest.raises(ZeroObjectError):
         hn_decompose(FormalComplex(()), handle(z_std))

@@ -19,6 +19,7 @@ from stabkit.stabspace import (
     ChargePath,
     GLtildeElement,
     StabilityConditionHandle,
+    WallEvent,
     chamber_samples,
     charge_matches_key,
     cmp_roots,
@@ -226,6 +227,10 @@ def test_norm_examples(a2_reps, z_std):
     u = tuple(a - b for a, b in zip(w.values, z_std.values))
     lo, _ = sin_pi_eps_bounds(Fraction(1, 10))
     assert norm_sigma(u, sigma, testset) < float(lo)
+    # charges with sqrt(2) parts: |U(E)|^2 / |Z(E)|^2 divides QuadScalars
+    Zq = CentralCharge((ec(-1, 1), ExactComplex(QuadScalar(0, 1, 2), QuadScalar(1, 1, 2))))
+    assert abs(norm_sigma(Zq.values, handle(Zq), testset) - 1.0) < 1e-12
+    assert norm_sigma(zero, handle(Zq), testset) == 0.0
 
 
 def test_sin_bounds_sane():
@@ -413,6 +418,25 @@ def test_solve_alignment_cases():
     assert solve_alignment(Fraction(-1), Fraction(2), Fraction(0)) == [Fraction(1, 2)]
     roots = solve_alignment(Fraction(-1), Fraction(0), Fraction(2))
     assert len(roots) == 2 and all(isinstance(r, QuadScalar) for r in roots)
+    assert solve_alignment(Fraction(1), Fraction(-2), Fraction(1)) == [Fraction(1)]  # a double root
+
+
+def test_double_root_is_one_wall():
+    # Z_t(1,0) and Z_t(0,1) touch along i at t = 1/2 without crossing
+    path = ChargePath(charge((-2, 1), (-2, 2)), charge((2, 2), (2, 1)))
+    report = find_walls(path, [((1, 0), (0, 1))])
+    assert [e.t_exact for e in report.events] == [Fraction(1, 2)]
+    assert chamber_samples(report.events) == [Fraction(1, 4), Fraction(3, 4)]
+
+
+def test_chamber_samples_refine_walls_closer_than_the_first_precision():
+    wall = QuadScalar(0, Fraction(1, 2), 2)
+    near = Fraction(math.isqrt(2 << 140), 1 << 71)  # sqrt(2)/2 rounded down to a multiple of 2**-71
+    lo, hi = root_bounds(wall, 60)
+    assert lo < near < hi and cmp_roots(near, wall) < 0  # distinct, but not apart at 60 bits
+    samples = chamber_samples((WallEvent(near, (1, 0), (0, 1)), WallEvent(wall, (1, 0), (1, 1))))
+    assert len(samples) == 3
+    assert cmp_roots(near, samples[1]) < 0 < cmp_roots(wall, samples[1])
 
 
 def nonzero_fraction(rng, top):

@@ -82,15 +82,15 @@ def every_class_instance() -> dict[str, object]:
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
         stabspace.deform(sigma, doc.charge("Zpert").values, Fraction(1, 10), testset)[1],
-        stabspace.stab_distance(sigma, flip, testset), stabspace.find_walls(path, list(spec.pairs)),
+        stabspace.find_walls(path, list(spec.pairs)),
         stabspace.validate_axioms(sigma, testset),
         doc.object("PS"), slicing.hn_decompose(doc.object("PS"), sigma)[0],
         slicing.PhaseInterval(PhaseKey(0, ec(1, 2)), PhaseKey(0, ec(-1, 2))),
         slicing.slicing_distance(sigma, flip, testset),
     ]
     out = {type(x).__name__: x for x in built}
-    for report in ("StabDistanceReport", "DistanceReport"):
-        out[type(out[report].rows[0]).__name__] = out[report].rows[0]
+    out["ObjectDrift"] = out["DistanceReport"].rows[0]
+    out["StabDistanceRow"] = stabspace.stab_distance(sigma, flip, testset).rows[0]
     out["HypothesisRow"] = out["DeformReport"].hypothesis[0]
     out["WallEvent"] = out["WallsReport"].events[0]
     out["AxiomCheck"] = out["AxiomReport"].checks[0]
