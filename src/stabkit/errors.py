@@ -13,14 +13,17 @@ class StabkitError(Exception):
 
 
 class SchemaError(StabkitError):
-    """Malformed session document; message carries a JSON-pointer path."""
+    """Malformed input at a JSON pointer.  A constructor's pointer is
+    relative to its own arguments; the session parser puts the document
+    path in front."""
 
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer
+        self.message = message
         super().__init__(f"at {pointer}: {message}")
 
 
-class CycleError(StabkitError):
+class CycleError(SchemaError):
     """Quiver has a directed cycle."""
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import graphlib
 from itertools import product
 
 from . import linalg
@@ -63,47 +64,21 @@ class Quiver(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
         if n < 1:
-            raise SchemaError("/quiver/vertices", f"need at least one vertex, got {n}")
-        seen = set()
-        for a in arrows:
+            raise SchemaError("/vertices", f"need at least one vertex, got {n}")
+        names = set()
+        order = graphlib.TopologicalSorter()
+        for i, a in enumerate(arrows):
             if not (1 <= a.src <= n and 1 <= a.tgt <= n):
-                raise SchemaError(f"/quiver/arrows/{a.name}", f"endpoint out of range 1..{n}")
-            if a.name in seen:
-                raise SchemaError(f"/quiver/arrows/{a.name}", "duplicate arrow name")
-            seen.add(a.name)
-        cyc = self._find_cycle()
-        if cyc is not None:
-            raise CycleError("quiver has a directed cycle through vertices " + " -> ".join(map(str, cyc)))
-
-    def _find_cycle(self):
-        # only sources of arrows can lie on a cycle, so the work follows
-        # the arrows and not the vertex count
-        succ: dict[int, list[int]] = {}
-        for a in self.arrows:
-            succ.setdefault(a.src, []).append(a.tgt)
-        color: dict[int, int] = {}
-        stack_path: list[int] = []
-
-        def visit(v):
-            color[v] = 1
-            stack_path.append(v)
-            for w in succ.get(v, ()):
-                if color.get(w) == 1:
-                    return stack_path[stack_path.index(w):] + [w]
-                if w not in color:
-                    got = visit(w)
-                    if got:
-                        return got
-            stack_path.pop()
-            color[v] = 2
-            return None
-
-        for v in sorted(succ):
-            if v not in color:
-                got = visit(v)
-                if got:
-                    return got
-        return None
+                raise SchemaError(f"/arrows/{i}", f"endpoint out of range 1..{n}")
+            if a.name in names:
+                raise SchemaError(f"/arrows/{i}", "duplicate arrow name")
+            names.add(a.name)
+            order.add(a.tgt, a.src)
+        try:
+            order.prepare()
+        except graphlib.CycleError as exc:  # its cycle follows the arrows
+            raise CycleError("/arrows", "quiver has a directed cycle through vertices "
+                             + " -> ".join(map(str, exc.args[1]))) from None
 
     @property
     def vertices(self):

@@ -11,12 +11,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .errors import SchemaError, UnknownNameError, UnsupportedScalarError
+from .errors import SchemaError, StabkitError, UnknownNameError
 from .exactnum import ExactComplex, Frozen, QuadScalar, fmt_scalar, parse_rational
 from .quivrep import Arrow, DimVector, Quiver, QuiverRep
 from .slicing import FormalComplex
 from .stability import CentralCharge
-from .stabspace import ChargePath
+from .stabspace import ChargePath, check_wall_pair
 
 # Largest accepted quadratic-extension parameter D: checking that D is
 # square-free takes trial divisions up to the cube root of D.
@@ -83,7 +83,7 @@ class SessionDocument(Frozen):
         if name not in self.paths:
             raise UnknownNameError(f"unknown path {name!r}")
         spec = self.paths[name]
-        return spec, ChargePath(self.charge(spec.start), self.charge(spec.end))
+        return spec, _at(f"/paths/{name}", ChargePath, self.charge(spec.start), self.charge(spec.end))
 
     def to_canonical(self) -> dict:
         """Canonical JSON form; parsing then serializing is idempotent."""
@@ -149,6 +149,17 @@ def _fmt_scalar_json(x):
     return str(x)
 
 
+def _at(pointer: str, make, *args):
+    """make(*args), with any refusal raised again at the document pointer:
+    a SchemaError keeps its class and gets the pointer in front of its own."""
+    try:
+        return make(*args)
+    except SchemaError as exc:
+        raise type(exc)(pointer + exc.pointer, exc.message) from None
+    except StabkitError as exc:
+        raise SchemaError(pointer, str(exc)) from None
+
+
 def _expect(obj, typ, pointer, what):
     if not isinstance(obj, typ) or (typ is int and isinstance(obj, bool)):
         raise SchemaError(pointer, f"expected {what}")
@@ -162,23 +173,16 @@ def _parse_d(doc: dict, pointer: str) -> int | None:
         _expect(quad_d, int, pointer, "an integer")
         if quad_d > MAX_D:
             raise SchemaError(pointer, f"D must be at most {MAX_D}, got {quad_d}")
-        QuadScalar(Fraction(0), Fraction(1), quad_d)  # validates square-freeness
+        _at(pointer, QuadScalar, Fraction(0), Fraction(1), quad_d)  # validates square-freeness
     return quad_d
-
-
-def _parse_rational_at(raw, pointer: str) -> Fraction:
-    try:
-        return parse_rational(raw)
-    except UnsupportedScalarError as exc:
-        raise SchemaError(pointer, str(exc)) from None
 
 
 def _parse_scalar(raw, pointer: str, quad_d: int | None):
     if isinstance(raw, dict):
         if quad_d is None:
             raise SchemaError(pointer, "quadratic scalar used but the document declares no D")
-        a = _parse_rational_at(raw.get("a", 0), pointer + "/a")
-        b = _parse_rational_at(raw.get("b", 0), pointer + "/b")
+        a = _at(pointer + "/a", parse_rational, raw.get("a", 0))
+        b = _at(pointer + "/b", parse_rational, raw.get("b", 0))
         extra = set(raw) - {"a", "b"}
         if extra:
             raise SchemaError(pointer, f"unknown scalar fields {sorted(extra)}")
@@ -186,7 +190,7 @@ def _parse_scalar(raw, pointer: str, quad_d: int | None):
             return a
         return QuadScalar(a, b, quad_d)
     if isinstance(raw, (int, str)):
-        return _parse_rational_at(raw, pointer)
+        return _at(pointer, parse_rational, raw)
     raise SchemaError(pointer, f"bad scalar {raw!r}")
 
 
@@ -200,10 +204,7 @@ def _parse_charge(zraw: list, pointer: str, quad_d: int | None) -> CentralCharge
             _parse_scalar(zv.get("re", 0), zptr + "/re", quad_d),
             _parse_scalar(zv.get("im", 0), zptr + "/im", quad_d),
         ))
-    try:
-        return CentralCharge(tuple(values))
-    except Exception as exc:
-        raise SchemaError(pointer, str(exc)) from None
+    return _at(pointer, CentralCharge, tuple(values))
 
 
 def parse_session(text: str) -> SessionDocument:
@@ -224,10 +225,10 @@ def parse_session(text: str) -> SessionDocument:
         src = _expect(araw.get("src"), int, ptr + "/src", "an integer")
         tgt = _expect(araw.get("tgt"), int, ptr + "/tgt", "an integer")
         arrows.append(Arrow(name, src, tgt))
-    quiver = Quiver(n, tuple(arrows))
+    quiver = _at("/quiver", Quiver, n, tuple(arrows))
 
     fname = _expect(doc.get("field"), str, "/field", "a field name")
-    field = linalg.field_by_name(fname)
+    field = _at("/field", linalg.field_by_name, fname)
 
     quad_d = _parse_d(doc, "/D")
 
@@ -256,11 +257,8 @@ def parse_session(text: str) -> SessionDocument:
             mraw = _expect(maps_raw[a.name], list, mptr, "a matrix (list of rows)")
             if len(mraw) != rows_n or any(not isinstance(r, list) or len(r) != cols_n for r in mraw):
                 raise SchemaError(mptr, f"matrix must be {rows_n}x{cols_n} for arrow {a.name}: {a.src}->{a.tgt}")
-            try:
-                maps.append(tuple(tuple(field.coerce(x) for x in row) for row in mraw))
-            except Exception as exc:
-                raise SchemaError(mptr, str(exc)) from None
-        reps[name] = QuiverRep(quiver, field, dims, tuple(maps))
+            maps.append(_at(mptr, lambda: tuple(tuple(field.coerce(x) for x in row) for row in mraw)))
+        reps[name] = _at(ptr, QuiverRep, quiver, field, dims, tuple(maps))
 
     charges: dict[str, CentralCharge] = {}
     for name, craw in sorted(_expect(doc.get("charges", {}), dict, "/charges", "an object").items()):
@@ -286,10 +284,8 @@ def parse_session(text: str) -> SessionDocument:
                 raise SchemaError(pptr, "shift keys must be integers") from None
             if rep_name not in reps:
                 raise SchemaError(pptr, f"unknown representation {rep_name!r}")
-            if reps[rep_name].is_zero:
-                raise SchemaError(pptr, "zero representation not allowed in a complex")
             parts.append((k, reps[rep_name]))
-        complexes[name] = FormalComplex(tuple(sorted(parts, key=lambda p: -p[0])))
+        complexes[name] = _at(ptr + "/parts", FormalComplex, tuple(parts))
 
     testsets: dict[str, tuple[str, ...]] = {}
     for name, traw in sorted(_expect(doc.get("testsets", {}), dict, "/testsets", "an object").items()):
@@ -330,6 +326,7 @@ def parse_session(text: str) -> SessionDocument:
                     tuple(_expect(x, int, f"{pptr}/{j}/{k}", "an integer") for k, x in enumerate(v))
                     for j, v in enumerate(pr)
                 ))
+                _at(pptr, check_wall_pair, *pairs[-1])
             pairs = tuple(pairs)
         paths[name] = PathSpec(start, end, track, pairs)
 

@@ -485,6 +485,14 @@ class WallsReport(NamedTuple):
     degenerate_pairs: tuple[tuple[DimVector, DimVector], ...]
 
 
+def check_wall_pair(alpha: DimVector, beta: DimVector) -> None:
+    """Refuse a wall pair with a zero class or proportional classes."""
+    if all(x == 0 for x in alpha) or all(x == 0 for x in beta):
+        raise ProportionalPairError("wall pair contains the zero class")
+    if quivrep.dims_proportional(alpha, beta):
+        raise ProportionalPairError(f"classes {alpha} and {beta} are proportional")
+
+
 def find_walls(path: ChargePath, pairs: list[tuple[DimVector, DimVector]]) -> WallsReport:
     """All t in [0, 1] where a tracked pair of classes becomes aligned.
 
@@ -496,10 +504,7 @@ def find_walls(path: ChargePath, pairs: list[tuple[DimVector, DimVector]]) -> Wa
     events = []
     degenerate = []
     for alpha, beta in pairs:
-        if all(x == 0 for x in alpha) or all(x == 0 for x in beta):
-            raise ProportionalPairError("wall pair contains the zero class")
-        if quivrep.dims_proportional(alpha, beta):
-            raise ProportionalPairError(f"classes {alpha} and {beta} are proportional")
+        check_wall_pair(alpha, beta)
         A, B = path.of_class(alpha)
         C, D = path.of_class(beta)
         q0 = cross(A, C)
@@ -521,11 +526,14 @@ def find_walls(path: ChargePath, pairs: list[tuple[DimVector, DimVector]]) -> Wa
 
 def chamber_samples(events: tuple[WallEvent, ...]) -> list[Fraction]:
     """The rational parameters strictly between consecutive distinct walls
-    (and before the first / after the last, inside [0, 1])."""
+    (and before the first / after the last, inside [0, 1]).  The events
+    must ascend in t, as find_walls sorts them; a descending pair is refused."""
     values: list[RootValue] = []
     for e in events:
-        if not values or cmp_roots(values[-1], e.t_exact) != 0:
+        if not values or (order := cmp_roots(values[-1], e.t_exact)) < 0:
             values.append(e.t_exact)
+        elif order > 0:
+            raise StabkitError("chamber samples need events in ascending order of t")
     if not values:
         return [Fraction(1, 2)]
     bits = 60

@@ -18,9 +18,16 @@ parameters, in any order.  Call ``f`` instead.
 
 A test file must load every name it imports; ``from __future__``
 imports are exempt.
+
+Only ``session`` knows the layout of a session document: no other
+module holds a string literal that starts with a document section, so a
+constructor's JSON pointer is relative to its own arguments.  No module
+catches ``Exception``, so a programming error is never reported as bad
+input.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,3 +155,21 @@ def unused_test_imports():
 
 def test_every_test_import_is_used():
     assert unused_test_imports() == []
+
+
+DOCUMENT_SECTION = re.compile(r"/(quiver|reps|charges|complexes|testsets|paths|field|D)(/|$)")
+
+
+def test_only_session_knows_the_document_layout():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and path.name != "session.py":
+                if DOCUMENT_SECTION.match(node.value):
+                    found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException"))
+                       for t in caught):
+                    found.append(f"{path.name}:{node.lineno} catches {ast.unparse(node.type or ast.Name('*'))}")
+    assert found == []

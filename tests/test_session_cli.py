@@ -416,6 +416,15 @@ def test_cli_refusals_exit_2_with_payload(fixture_path, tmp_path):
         assert payload["error"] == "StabkitError" and payload["message"].startswith(message), argv
 
 
+def test_cli_unknown_names_exit_2(fixture_path):
+    for command, message in ((["hn", "P", "Znone"], "unknown charge 'Znone'"),
+                             (["decompose", "Nothing", "Zstd"], "unknown object 'Nothing'"),
+                             (["walls", "nopath"], "unknown path 'nopath'")):
+        code, text = run_cli("--input", str(fixture_path), *command)
+        payload = json.loads(text)
+        assert (code, payload["error"], payload["message"]) == (2, "UnknownNameError", message), command
+
+
 def test_cli_decompose_over_q(fixture_path, tmp_path):
     doc = json.loads(fixture_path.read_text())
     doc["field"] = "Q"
@@ -574,6 +583,54 @@ def test_cli_negative_dims_exit_2(fixture_path, tmp_path):
     assert message.startswith("at /reps/S1/dims/0:")
 
 
+def _add_arrow(src, tgt, name="b"):
+    return lambda doc: doc["quiver"]["arrows"].append({"name": name, "src": src, "tgt": tgt})
+
+
+def _sqrt2_path_endpoint(doc):
+    doc["D"] = 2
+    doc["charges"]["Zwall1"]["z"][1]["im"] = {"a": "0", "b": "1"}
+
+
+# Fixture mutations refused with the document pointer of the constructor
+# argument at fault: (label, mutation, error class, start of the message).
+POINTER_REFUSALS = [
+    ("field F4", lambda doc: doc.update(field="F4"), "SchemaError", "at /field: unknown field 'F4'"),
+    ("D 4", lambda doc: doc.update(D=4), "SchemaError",
+     "at /D: quadratic extension requires a square-free integer >= 2, got d=4"),
+    ("arrow 2->1", _add_arrow(2, 1), "CycleError",
+     "at /quiver/arrows: quiver has a directed cycle through vertices 2 -> 1 -> 2"),
+    ("loop at 1", _add_arrow(1, 1), "CycleError",
+     "at /quiver/arrows: quiver has a directed cycle through vertices 1 -> 1"),
+    ("arrow 1->3", _add_arrow(1, 3), "SchemaError", "at /quiver/arrows/1: endpoint out of range 1..2"),
+    ("arrow a twice", _add_arrow(1, 2, "a"), "SchemaError", "at /quiver/arrows/1: duplicate arrow name"),
+    ("shift 1 twice", lambda doc: doc["complexes"].update(C={"parts": {"1": "S1", "+1": "S2"}}), "SchemaError",
+     "at /complexes/C/parts: formal complex declares a shift twice"),
+    ("zero class pair", lambda doc: doc["paths"]["path1"].update(pairs=[[[0, 0], [1, 1]]]), "SchemaError",
+     "at /paths/path1/pairs/0: wall pair contains the zero class"),
+    ("proportional pair", lambda doc: doc["paths"]["path1"].update(pairs=[[[0, 1], [1, 1]], [[1, 1], [2, 2]]]),
+     "SchemaError", "at /paths/path1/pairs/1: classes (1, 1) and (2, 2) are proportional"),
+    ("sqrt(2) path endpoint", _sqrt2_path_endpoint, "SchemaError",
+     "at /paths/path1: charge paths require rational endpoint charges"),
+]
+
+
+@pytest.mark.parametrize("label, mutate, error, message", POINTER_REFUSALS, ids=[r[0] for r in POINTER_REFUSALS])
+def test_cli_refusals_carry_the_document_pointer(fixture_path, tmp_path, label, mutate, error, message):
+    doc = json.loads(fixture_path.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in FUZZ_COMMANDS["a2_session.json"]:
+        code, text = run_cli("--input", str(bad), *command)
+        payload = json.loads(text)
+        if label == "sqrt(2) path endpoint" and command[0] != "walls":
+            assert code == 0, (command, text)  # only the command that uses the path refuses it
+            continue
+        assert (code, payload["error"]) == (2, error), (command, text)
+        assert payload["message"].startswith(message), (command, payload["message"])
+
+
 def test_cli_overlong_integer_literal_exit_2(fixture_path, tmp_path):
     # the JSON reader refuses to convert an integer literal of more than 4300 digits
     from stabkit.session import parse_charge_document
@@ -719,6 +776,7 @@ def test_cli_exit_codes_on_mutated_sessions(tmp_path):
              lambda doc: doc["reps"]["S2"].update(dims=[0, 10**8])),
             ("a2_session.json", "10**30 vertices", lambda doc: doc["quiver"].update(vertices=10**30)),
             ("a2_session.json", "Zstd im 1e400", lambda doc: doc["charges"]["Zstd"]["z"][0].update(im="1e400"))]
+    docs += [("a2_session.json", label, mutate) for label, mutate, _, _ in POINTER_REFUSALS]
     docs += [(fixture, None, None) for fixture in sorted(FUZZ_COMMANDS) * 50]
     codes = []
     old = signal.signal(signal.SIGALRM, hang)

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from stabkit.errors import (
     OrientationError,
     ProportionalPairError,
     StabkitError,
+    ZeroObjectError,
 )
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar, normalize_direction, root_bounds
 from stabkit.slicing import FormalComplex, containment_check, hn_decompose, slicing_distance
@@ -29,6 +31,7 @@ from stabkit.stabspace import (
     invert,
     mat2,
     mat2_det,
+    mat2_inv,
     mul_sequential,
     norm_sigma,
     sin_pi_eps_bounds,
@@ -437,6 +440,52 @@ def test_chamber_samples_refine_walls_closer_than_the_first_precision():
     samples = chamber_samples((WallEvent(near, (1, 0), (0, 1)), WallEvent(wall, (1, 0), (1, 1))))
     assert len(samples) == 3
     assert cmp_roots(near, samples[1]) < 0 < cmp_roots(wall, samples[1])
+
+
+def test_chamber_samples_refuse_descending_events():
+    # the two roots have one float, so float order keeps them as given: descending
+    wall = QuadScalar(0, Fraction(1, 2), 2)
+    near = Fraction(math.isqrt(2 << 140), 1 << 71)
+    events = sorted((WallEvent(wall, (1, 0), (1, 1)), WallEvent(near, (1, 0), (0, 1))), key=lambda e: e.t_float)
+    assert [e.t_exact for e in events] == [wall, near]
+
+    def too_slow(signum, frame):
+        raise TimeoutError("chamber_samples ran past 1 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(StabkitError, match="^chamber samples need events in ascending order of t$"):
+            chamber_samples(tuple(events))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    ascending = tuple(events[::-1])
+    samples = chamber_samples(ascending)
+    assert chamber_samples(ascending + ascending[-1:]) == samples  # equal events are one wall
+    assert cmp_roots(samples[0], near) < 0 < cmp_roots(samples[1], near)
+    assert cmp_roots(samples[1], wall) < 0 < cmp_roots(samples[2], wall)
+
+
+def refused(cls, message, fn, *args):
+    with pytest.raises(cls) as info:
+        fn(*args)
+    assert (type(info.value), str(info.value)) == (cls, message)
+
+
+def test_refusals_of_the_stability_space_operations(a2_reps, z_std, z_flip):
+    sigma = handle(z_std)
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
+    refused(OrientationError, "matrix is singular", mat2_inv, mat2(1, 2, 2, 4))
+    refused(ZeroObjectError, "norm needs a nonempty testset", norm_sigma, z_std.values, sigma, [])
+    refused(StabkitError, "linear map has 1 components, charge expects 2", norm_sigma, z_std.values[:1], sigma, testset)
+    acted, _ = gl_act(sigma, GLtildeElement(mat2(2, 0, 0, 2), 0), testset)
+    refused(StabkitError, "deform expects an unacted handle; apply the plane action afterwards",
+            deform, acted, z_flip.values, Fraction(1, 10), testset)
+    refused(ZeroObjectError, "deform needs a nonempty testset", deform, sigma, z_flip.values, Fraction(1, 10), [])
+    refused(ZeroObjectError, "stability-space distance needs a nonempty testset",
+            stab_distance, sigma, handle(z_flip), [])
+    refused(StabkitError, "path endpoints have different lengths", ChargePath, z_std, charge((0, 1)))
 
 
 def nonzero_fraction(rng, top):
