@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedScalarError, WrongFieldError
-from .exactnum import parse_rational
+from .exactnum import Frozen, parse_rational
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -192,9 +192,23 @@ def rank(F: Field, rows) -> int:
     return len(rref(F, rows)[0])
 
 
+class SubspaceTable(Frozen):
+    """The subspaces :func:`subspaces` lists: ``rows`` holds each one's echelon rows and ``pivot_sets``
+    one ``(pivots, range of their indices)`` per pivot set, whose subspaces are consecutive."""
+
+    __slots__ = ("rows", "pivot_sets")
+
+    def __init__(self, rows: tuple, pivot_sets: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot_sets", pivot_sets)
+
+    def __len__(self):
+        return len(self.rows)
+
+
 @lru_cache(maxsize=None)
-def subspaces(p: int, dim: int):
-    """All subspaces of F_p^dim as (RREF rows, pivots), canonically ordered.
+def subspaces(p: int, dim: int) -> SubspaceTable:
+    """All subspaces of F_p^dim by their RREF rows, canonically ordered.
 
     Order: ascending rank, then pivot-column sets lexicographically, then
     free entries lexicographically over 0..p-1, row by row.  Every
@@ -204,7 +218,7 @@ def subspaces(p: int, dim: int):
     shared tuple.
     """
     elements = PrimeField(p).elements()
-    out = [(tuple(), tuple())]
+    rows, pivot_sets = [()], [((), range(1))]
     for r in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), r):
             choices = []
@@ -212,11 +226,13 @@ def subspaces(p: int, dim: int):
                 free = [c for c in range(c0 + 1, dim) if c not in pivots]
                 row = [0] * dim
                 row[c0] = 1
-                rows = []
+                per_row = []
                 for values in itertools.product(elements, repeat=len(free)):
                     for c, x in zip(free, values):
                         row[c] = x
-                    rows.append(tuple(row))
-                choices.append(rows)
-            out.extend(zip(itertools.product(*choices), itertools.repeat(pivots)))
-    return tuple(out)
+                    per_row.append(tuple(row))
+                choices.append(per_row)
+            first = len(rows)
+            rows.extend(itertools.product(*choices))
+            pivot_sets.append((pivots, range(first, len(rows))))
+    return SubspaceTable(tuple(rows), tuple(pivot_sets))

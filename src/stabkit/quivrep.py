@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import functools
 import graphlib
-from itertools import product
+import math
+from array import array
+from itertools import product, repeat
 
 from . import linalg
 from .errors import (
@@ -28,6 +30,7 @@ from .linalg import Field
 DimVector = tuple[int, ...]
 
 DEFAULT_CAP = 6
+ENUMERATION_BUDGET = 10**6  # subspace tuples (or sub-dimension vectors) one scan may visit
 
 
 def dim_add(a: DimVector, b: DimVector) -> DimVector:
@@ -247,7 +250,7 @@ def _images(F: Field, M, rows) -> list:
 
 
 def _maps_into(F: Field, images, rows, pivots) -> bool:
-    """The arrow-invariance test: every image lies in the span of rows."""
+    """Every image lies in the span of the echelon rows (pivots)."""
     return all(linalg.in_span(F, w, rows, pivots) for w in images)
 
 
@@ -278,14 +281,35 @@ def full_submodule(rep: QuiverRep) -> Submodule:
     return coordinate_submodule(rep, rep.dims)
 
 
-def _check_cap(rep: QuiverRep, cap: int):
+def _check_cap(rep: QuiverRep, cap: int, counts, what: str):
+    """Refuse a total dimension above cap, then work (the product of counts, one per vertex,
+    formed vertex by vertex) above ENUMERATION_BUDGET, named where it first exceeds it."""
     if rep.total_dim > cap:
         raise CapExceededError(f"total dimension {rep.total_dim} exceeds the enumeration cap {cap}")
+    work = 1
+    for count in counts:
+        work *= count
+        if work > ENUMERATION_BUDGET:
+            raise CapExceededError(f"{what} for dimension vector {rep.dims} would visit at least {work}, "
+                                   f"above the enumeration budget {ENUMERATION_BUDGET}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _subspace_counts(p: int, dims: DimVector) -> tuple[int, ...]:
+    """len(linalg.subspaces(p, d)) per d in dims, the Galois number G(d) = sum_k [d, k]_p, by
+    G(n+1) = 2 G(n) + (p**n - 1) G(n-1); a G(n) above the budget is returned as a bound."""
+    counts = []
+    for d in dims:
+        below, count, n = 0, 1, 0
+        while n < d and count <= ENUMERATION_BUDGET:
+            below, count, n = count, 2 * count + (p ** n - 1) * below, n + 1
+        counts.append(count)
+    return tuple(counts)
 
 
 def sub_dims(rep: QuiverRep, cap: int = DEFAULT_CAP) -> list[DimVector]:
-    """The nonzero proper vectors beta <= rep.dims, vertex 1 slowest, below the cap."""
-    _check_cap(rep, cap)
+    """The nonzero proper vectors beta <= rep.dims, vertex 1 slowest, below the cap and the budget."""
+    _check_cap(rep, cap, (d + 1 for d in rep.dims), "the sub-dimension-vector scan")
     return [beta for beta in product(*(range(d + 1) for d in rep.dims)) if any(beta) and beta != rep.dims]
 
 
@@ -296,11 +320,11 @@ def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> SubmoduleLat
     product is filtered by invariance, so the member order is canonical
     (vertex 1 varies slowest) and free of duplicates.  The lattice
     depends on the representation alone, so equal representations share
-    one immutable :class:`SubmoduleLattice` from a small memo; the field
-    and cap checks run on every call.
+    one immutable :class:`SubmoduleLattice` from a small memo; the field,
+    cap and budget checks run on every call, before any table is built.
     """
     _require_finite(rep)
-    _check_cap(rep, cap)
+    _check_cap(rep, cap, _subspace_counts(rep.field.p, rep.dims), "submodule enumeration")
     return _lattice(rep)
 
 
@@ -312,62 +336,86 @@ def _require_finite(rep: QuiverRep):
 class SubmoduleLattice(Frozen):
     """The submodules of a representation over a finite field, in canonical order.
 
-    A member is stored as its rows tuple alone.  Consecutive members with
-    one pivots tuple form a run, which stores that tuple, the shared dims
-    and the total dimension once; each dimension-vector class maps to the
-    index of its first member.  ``len`` counts the members, :meth:`walk`
-    reads them by index and :meth:`member` builds one as a
-    :class:`Submodule`.  ``==``, ``hash`` and pickling go by the
-    representation.  :func:`enumerate_submodules` also checks the cap and
+    A member is stored as its position in the product of the per-vertex
+    ``linalg.subspaces`` tables, vertex 1 slowest: ``_radix`` holds
+    ``(rows, stride, size)`` of each table, and the member's subspace at
+    vertex v is ``rows[position // stride % size]``.  The positions are a
+    ``range`` when no arrow constrains anything, else an array of 4-byte
+    ints.  Consecutive members with one pivots tuple form a run; ``_runs``
+    holds its ``(pivots, dims, total_dim)`` and ``_starts`` the index of its
+    first member.  ``_first`` maps each dimension-vector class to the index
+    of its first member.  ``len`` counts the members, :meth:`walk` reads
+    them by index and :meth:`member` builds one as a :class:`Submodule`.
+    ``==``, ``hash`` and pickling go by the representation.
+    :func:`enumerate_submodules` also checks the cap and the budget and
     shares one lattice among equal representations.
     """
 
-    __slots__ = ("rep", "_rows", "_starts", "_runs", "_first")
+    __slots__ = ("rep", "_radix", "_positions", "_starts", "_runs", "_first")
 
     def __init__(self, rep: QuiverRep):
         object.__setattr__(self, "rep", rep)
         _require_finite(rep)
-        rows, starts, runs, first = _enumerate(rep)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_starts", starts)  # index of each run's first member
-        object.__setattr__(self, "_runs", runs)  # (pivots, dims, total_dim) of each run
-        object.__setattr__(self, "_first", first)  # class -> index of its first member
+        for name, value in zip(self.__slots__[1:], _enumerate(rep)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._positions)
 
     def classes(self):
         """(dims, index of the first member of that class) per class, in
         order of first appearance."""
         return self._first.items()
 
+    def _rows(self, index: int) -> tuple:
+        k = self._positions[index]
+        return tuple([rows[k // s % m] for rows, s, m in self._radix])
+
     def member(self, index: int) -> Submodule:
         """The member at index, built on its own."""
-        index = range(len(self._rows))[index]  # a negative index counts from the end
+        index = range(len(self))[index]  # a negative index counts from the end
         pivots, dims, total_dim = self._runs[bisect.bisect_right(self._starts, index) - 1]
-        return _member(self.rep, self._rows[index], pivots, dims, total_dim)
+        return _member(self.rep, self._rows(index), pivots, dims, total_dim)
 
     def member_contains(self, index: int, sub: Submodule) -> bool:
         """Whether the member at index contains sub, tested on rows without building the member."""
         pivots = self._runs[bisect.bisect_right(self._starts, index) - 1][0]
-        return _contains(self.rep, self._rows[index], pivots, sub.rows)
+        return _contains(self.rep, self._rows(index), pivots, sub.rows)
 
     def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, int]]:
         """(dims, total_dim, index) of each member strictly above step, or
         strictly inside it when above is false, in canonical order.  A run
-        whose total dimension rules it out is skipped whole."""
-        rep, rows, out = self.rep, self._rows, []
-        step_rows, step_pivots, step_total = step.rows, step.pivots, step.total_dim
-        ends = self._starts[1:] + (len(rows),)
+        whose dims rule it out is skipped whole, and one whose dims settle
+        containment at every vertex is taken whole; otherwise containment
+        is decided once per vertex and candidate index."""
+        F, full, sign, out = self.rep.field, self.rep.dims, 1 if above else -1, []
+        positions, radix = self._positions, self._radix
+        known: list[dict] = [{} for _ in full]  # per vertex: candidate index -> contains
+        open_at: dict = {}  # per class: None when ruled out, else the vertices its dims leave open
+        ends = self._starts[1:] + (len(self),)
         for (pivots, dims, total_dim), start, end in zip(self._runs, self._starts, ends):
-            if above and total_dim > step_total:
-                for i in range(start, end):
-                    if _contains(rep, rows[i], pivots, step_rows):
-                        out.append((dims, total_dim, i))
-            elif not above and total_dim < step_total:
-                for i in range(start, end):
-                    if _contains(rep, step_rows, step_pivots, rows[i]):
-                        out.append((dims, total_dim, i))
+            if dims not in open_at:
+                ruled_out = (total_dim - step.total_dim) * sign <= 0 or any(
+                    (d - s) * sign < 0 for d, s in zip(dims, step.dims))
+                # open unless the containing side is the whole space or the contained side is 0
+                open_at[dims] = None if ruled_out else [
+                    v for v, (d, s, n) in enumerate(zip(dims, step.dims, full)) if (s and d < n if above else d and s < n)]
+            if (open_ := open_at[dims]) is None:
+                continue
+            if not open_:
+                out.extend(zip(repeat(dims), repeat(total_dim), range(start, end)))
+                continue
+            for i in range(start, end):
+                for v in open_:
+                    table, s, m = radix[v]
+                    if (hit := known[v].get(c := positions[i] // s % m)) is None:
+                        rows = table[c]
+                        hit = known[v][c] = (_maps_into(F, step.rows[v], rows, pivots[v]) if above
+                                             else _maps_into(F, rows, step.rows[v], step.pivots[v]))
+                    if not hit:
+                        break
+                else:
+                    out.append((dims, total_dim, i))
         return out
 
 
@@ -377,71 +425,75 @@ _lattice = functools.lru_cache(maxsize=8)(SubmoduleLattice)
 def _enumerate(rep: QuiverRep):
     # Arrows are checked at the later of their two endpoints; an arrow
     # whose matrix has no nonzero entry constrains nothing and is dropped.
-    # Images of the chosen rows at an earlier source are taken once per
-    # prefix; images of a candidate's rows into an earlier target once per
-    # candidate.  The last vertex is one flat loop per prefix; a run's dims
-    # and total_dim come from a table per prefix rank vector, indexed by the
-    # rank at the last vertex.
-    F = rep.field
-    n = rep.quiver.n
+    # A vertex's candidates, (pivots, indices) per pivot set, are filtered
+    # once per choice at the earlier vertices its arrows tie it to; a vertex
+    # tied to none keeps its whole table.  Images of a candidate's rows into
+    # an earlier target are taken once per candidate.  The last vertex of
+    # positive dimension, w, adds one block per choice at the earlier ones.
+    F, n = rep.field, rep.quiver.n
+    tables = tuple(linalg.subspaces(F.p, d) for d in rep.dims)
+    strides = tuple(math.prod(map(len, tables[v + 1:])) for v in range(n))
     arrows = [(M, a.src - 1, a.tgt - 1) for M, a in zip(rep.maps, rep.quiver.arrows) if any(map(any, M))]
     into = [[(M, s) for M, s, t in arrows if t == v and s < v] for v in range(n)]
-    per_vertex = []
-    for v, d in enumerate(rep.dims):
-        cands = linalg.subspaces(F.p, d)
+    ties = [sorted({min(s, t) for M, s, t in arrows if max(s, t) == v}) for v in range(n)]
+    images = []
+    for v, table in enumerate(tables):
         back = [(M, t) for M, s, t in arrows if s == v and t < v]
-        images = ([[(t, ims) for M, t in back if (ims := _images(F, M, rows))] for rows, _ in cands]
-                  if back else [()] * len(cands))
-        per_vertex.append((cands, images))
-    out: list = []
-    starts: list[int] = []
-    runs: list = []
-    first: dict[DimVector, int] = {}
-    tables: dict[DimVector, list] = {}
-    chosen_rows: list = [None] * (n - 1)
-    chosen_pivots: list = [None] * (n - 1)
+        images.append([[(t, ims) for M, t in back if (ims := _images(F, M, rows))] for rows in table.rows]
+                      if back else None)
+    w = max((v for v, d in enumerate(rep.dims) if d), default=0)
+    tail = ((),) * (n - 1 - w)  # pivots of the later vertices
+    positions = array("I") if arrows else None
+    starts, runs, first, memo = [], [], {}, {}
+    chosen, chosen_rows, chosen_pivots = [None] * n, [None] * n, [None] * n
 
-    def last_vertex():
-        prefix_rows = tuple(chosen_rows)
-        prefix_pivots = tuple(chosen_pivots)
-        base = tuple(map(len, prefix_rows))
-        if (table := tables.get(base)) is None:
-            table = tables[base] = [(_shared_dims(base + (k,)), sum(base) + k) for k in range(rep.dims[-1] + 1)]
-        fixed = [w for M, s in into[-1] for w in _images(F, M, chosen_rows[s])]
-        last = None
-        for (rows, pivots), back in zip(*per_vertex[-1]):
-            if fixed and not _maps_into(F, fixed, rows, pivots):
-                continue
-            if back and not all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t]) for t, ims in back):
-                continue
-            if pivots is not last:
-                # candidates of one pivot set are consecutive; a run goes on
-                # across prefixes while the whole pivots tuple stays equal
-                last = pivots
-                member_pivots = prefix_pivots + (pivots,)
-                if not runs or member_pivots != runs[-1][0]:
-                    dims, total_dim = table[len(pivots)]
-                    starts.append(len(out))
-                    runs.append((member_pivots, dims, total_dim))
-                    first.setdefault(dims, len(out))
-            out.append(prefix_rows + (rows,))
+    def candidates(v):
+        if not ties[v]:
+            return tables[v].pivot_sets
+        key = (v, *(chosen[u] for u in ties[v]))
+        if (segments := memo.get(key)) is None:
+            rows_v = tables[v].rows
+            fixed = [im for M, s in into[v] for im in _images(F, M, chosen_rows[s])]
+            # a nonzero vector of an echelon span leads at a pivot: skip pivot sets missing a lead
+            leads = {next(i for i, x in enumerate(im) if x) for im in fixed}
+            segments = memo[key] = []
+            for pivots, seq in tables[v].pivot_sets:
+                if not leads.issubset(pivots):
+                    continue
+                keep = [c for c in seq if (not fixed or _maps_into(F, fixed, rows_v[c], pivots)) and (
+                    images[v] is None or all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t])
+                                             for t, ims in images[v][c]))]
+                if keep:
+                    segments.append((pivots, keep))
+        return segments
 
-    def descend(v):
-        if v == n - 1:
-            last_vertex()
-            return
-        fixed = [w for M, s in into[v] for w in _images(F, M, chosen_rows[s])]
-        for (rows, pivots), back in zip(*per_vertex[v]):
-            if fixed and not _maps_into(F, fixed, rows, pivots):
-                continue
-            if back and not all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t]) for t, ims in back):
-                continue
-            chosen_rows[v] = rows
+    def block(base, count):
+        prefix = tuple(chosen_pivots[:w])
+        for pivots, seq in candidates(w):
+            member_pivots = prefix + (pivots,) + tail
+            if not runs or member_pivots != runs[-1][0]:
+                dims = _shared_dims(tuple(map(len, member_pivots)))
+                starts.append(count)
+                runs.append((member_pivots, dims, sum(dims)))
+                first.setdefault(dims, count)
+            if positions is not None:
+                positions.extend(map(base.__add__, seq))
+            count += len(seq)
+        return count
+
+    def descend(v, base, count):
+        if v == w:
+            return block(base, count)
+        for pivots, seq in candidates(v):
             chosen_pivots[v] = pivots
-            descend(v + 1)
+            for c in seq:
+                chosen[v], chosen_rows[v] = c, tables[v].rows[c]
+                count = descend(v + 1, base + c * strides[v], count)
+        return count
 
-    descend(0)
-    return tuple(out), tuple(starts), tuple(runs), first
+    count = descend(0, 0, 0)
+    radix = tuple((t.rows, s, len(t)) for t, s in zip(tables, strides))
+    return radix, positions if arrows else range(count), tuple(starts), tuple(runs), first
 
 
 def subquotient(rep: QuiverRep, lower: Submodule, upper: Submodule) -> QuiverRep:

@@ -292,7 +292,8 @@ def parse_session(text: str) -> SessionDocument:
         ptr = f"/testsets/{name}"
         if name == "all":
             raise SchemaError(ptr, "'all' is a reserved testset name")
-        _expect(traw, list, ptr, "a list of object names")
+        if not _expect(traw, list, ptr, "a list of object names"):
+            raise SchemaError(ptr, "a testset needs at least one object")
         for i, obj in enumerate(traw):
             _expect(obj, str, ptr + f"/{i}", "an object name")
             if obj not in reps and obj not in complexes:

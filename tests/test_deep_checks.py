@@ -1,6 +1,6 @@
 """Extra cross-checks: an independent float model of the plane-action
 relabeling, quadratic-extension charges driving exact verdicts, and the
-enumeration cap surface."""
+enumeration cap and budget surface."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit import cli
+from stabkit import cli, linalg, quivrep
 from stabkit.errors import CapExceededError
 from stabkit.exactnum import ExactComplex, QuadScalar, normalize_direction
 from stabkit.quivrep import enumerate_submodules
@@ -199,3 +199,58 @@ def test_cap_error_names_dimension():
     big = rep(A2, F2, (4, 4))
     with pytest.raises(CapExceededError, match="8"):
         enumerate_submodules(big, cap=6)
+
+
+@pytest.mark.parametrize("field, count", [("F5", 3583232), ("F7", 61946920)])
+def test_budget_refuses_before_any_table_is_built(fixture_path, tmp_path, field, count):
+    # dims (0, 6) is within the default cap, but the product of the
+    # per-vertex subspace counts is above ENUMERATION_BUDGET
+    doc = json.loads(fixture_path.read_text())
+    doc["field"] = field
+    doc["reps"]["S2"]["dims"] = [0, 6]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    built = linalg.subspaces.cache_info().misses
+    for command in ("semistable", "hn"):
+        start = time.perf_counter()
+        code, text = cli.run(["--input", str(path), command, "S2", "Zstd"])
+        assert time.perf_counter() - start < 1.0
+        payload = json.loads(text)
+        assert (code, payload["error"]) == (2, "CapExceededError")
+        assert payload["message"] == (f"submodule enumeration for dimension vector (0, 6) would visit at least "
+                                      f"{count}, above the enumeration budget {quivrep.ENUMERATION_BUDGET}")
+    assert linalg.subspaces.cache_info().misses == built
+    # the largest ladder shape over F7 stays within the budget
+    assert quivrep._subspace_counts(7, (0, 5)) == (1, len(linalg.subspaces(7, 5))) == (1, 285704)
+
+
+def test_budget_is_checked_on_memo_hits(monkeypatch):
+    r = rep(A2, F2, (2, 2), {"a": [[1, 0], [0, 1]]})
+    lattice = enumerate_submodules(r)
+    monkeypatch.setattr(quivrep, "ENUMERATION_BUDGET", len(linalg.subspaces(2, 2)) ** 2 - 1)
+    with pytest.raises(CapExceededError, match="would visit at least 25, above the enumeration budget 24"):
+        enumerate_submodules(r)
+    monkeypatch.undo()
+    assert enumerate_submodules(r) is lattice
+
+
+def test_budget_bounds_the_rational_scan_above_a_raised_cap(tmp_path):
+    # --cap 2000 admits dims (1000, 1000); its sub-dimension-vector scan is refused at once
+    doc = {"quiver": {"vertices": 2, "arrows": []}, "field": "Q",
+           "reps": {"BIG": {"dims": [1000, 1000]}},
+           "charges": {"Zstd": {"z": [{"re": "-1", "im": "1"}, {"re": "1", "im": "1"}]}}}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, text = cli.run(["--input", str(path), "--cap", "2000", "semistable", "BIG", "Zstd"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(text)["message"]) == (2, "the sub-dimension-vector scan for dimension vector "
+                                                      "(1000, 1000) would visit at least 1002001, "
+                                                      "above the enumeration budget 1000000")
+
+
+def test_subspace_counts_stop_above_the_budget():
+    assert quivrep._subspace_counts(2, tuple(range(9))) == tuple(len(linalg.subspaces(2, d)) for d in range(9))
+    start = time.perf_counter()
+    assert quivrep._subspace_counts(7, (10**5,))[0] > quivrep.ENUMERATION_BUDGET
+    assert time.perf_counter() - start < 0.1

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -196,6 +197,22 @@ def test_cap_check_runs_on_memo_hits():
     assert len(enumerate_submodules(r, cap=4)) == len(enumerate_submodules(r, cap=6))
 
 
+def test_lattice_stores_no_object_per_member():
+    # with the subspace tables cached, an unconstrained lattice is its runs
+    # and classes: a range of positions, no tuple or index per member
+    r = rep(A2, linalg.field_by_name("F5"), (0, 5))
+    for d in r.dims:
+        linalg.subspaces(5, d)
+    tracemalloc.start()
+    try:
+        lattice = quivrep.SubmoduleLattice(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 42176 and peak <= 2 * len(lattice)
+    assert lattice.member(-1).is_full and lattice.member(0).is_zero
+
+
 def test_submodule_stores_shared_dims():
     r = rep(A3, F3, (1, 2, 1), {"a": [[1], [2]], "b": [[1, 0]]})
     subs = enumerate_submodules(r)
@@ -229,7 +246,7 @@ def test_member_loop_against_span_closure(quiver, dims, field):
     # maps (trial 0, and the first arrow in trial 4) and arrows with a
     # dimension-0 endpoint constrain nothing
     rng = random.Random(f"{dims}/{field}")
-    index = [{s: i for i, s in enumerate(linalg.subspaces(field.p, d))} for d in dims]
+    index = [{rows: i for i, rows in enumerate(linalg.subspaces(field.p, d).rows)} for d in dims]
     for trial in range(5):
         maps = {a.name: [[rng.randrange(field.p) if trial else 0 for _ in range(dims[a.src - 1])]
                          for _ in range(dims[a.tgt - 1])] for a in quiver.arrows}
@@ -242,7 +259,7 @@ def test_member_loop_against_span_closure(quiver, dims, field):
         assert len(set(as_sets)) == len(subs)
         assert set(as_sets) == submodule_sets_bruteforce(r)
         # canonical order: the product of the per-vertex lists, vertex 1 slowest
-        positions = [tuple(index[v][(s.rows[v], s.pivots[v])] for v in range(quiver.n)) for s in subs]
+        positions = [tuple(index[v][s.rows[v]] for v in range(quiver.n)) for s in subs]
         assert positions == sorted(set(positions))
         if trial == 0:
             assert len(subs) == math.prod(len(linalg.subspaces(field.p, d)) for d in dims)

@@ -612,6 +612,8 @@ POINTER_REFUSALS = [
      "SchemaError", "at /paths/path1/pairs/1: classes (1, 1) and (2, 2) are proportional"),
     ("sqrt(2) path endpoint", _sqrt2_path_endpoint, "SchemaError",
      "at /paths/path1: charge paths require rational endpoint charges"),
+    ("empty testset", lambda doc: doc["testsets"].update(empty=[]), "SchemaError",
+     "at /testsets/empty: a testset needs at least one object"),
 ]
 
 
@@ -775,7 +777,11 @@ def test_cli_exit_codes_on_mutated_sessions(tmp_path):
     docs = [("a2_session.json", "S2 dims [0, 10**8]",
              lambda doc: doc["reps"]["S2"].update(dims=[0, 10**8])),
             ("a2_session.json", "10**30 vertices", lambda doc: doc["quiver"].update(vertices=10**30)),
-            ("a2_session.json", "Zstd im 1e400", lambda doc: doc["charges"]["Zstd"]["z"][0].update(im="1e400"))]
+            ("a2_session.json", "Zstd im 1e400", lambda doc: doc["charges"]["Zstd"]["z"][0].update(im="1e400")),
+            ("a2_session.json", "F5, S2 dims [0, 6]", lambda doc: (doc.update(field="F5"),
+                                                                  doc["reps"]["S2"].update(dims=[0, 6]))),
+            ("a2_session.json", "F7, S2 dims [0, 6]", lambda doc: (doc.update(field="F7"),
+                                                                  doc["reps"]["S2"].update(dims=[0, 6])))]
     docs += [("a2_session.json", label, mutate) for label, mutate, _, _ in POINTER_REFUSALS]
     docs += [(fixture, None, None) for fixture in sorted(FUZZ_COMMANDS) * 50]
     codes = []

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from stabkit import ellcurve, quivrep, slicing, stability, stabspace
+from stabkit import ellcurve, linalg, quivrep, slicing, stability, stabspace
 from stabkit.exactnum import ExactComplex, Frozen, PhaseKey, QuadScalar
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import Arrow, Quiver, QuiverRep
@@ -77,7 +77,7 @@ def every_class_instance() -> dict[str, object]:
     g = ellcurve.classify(ellcurve.NumericalCharge(stabspace.mat2(-5, -1, 1, 0)))
     lattice = quivrep.enumerate_submodules(doc.rep("P"))
     built = [x for x, _ in representatives()] + [
-        doc, doc.quiver.arrows[0], spec, path, sigma, g, lattice, lattice.member(1),
+        doc, doc.quiver.arrows[0], spec, path, sigma, g, lattice, lattice.member(1), linalg.subspaces(2, 2),
         ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
