@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import UnsupportedScalarError, WrongFieldError
 from .exactnum import Frozen, parse_rational
@@ -192,6 +193,21 @@ def rank(F: Field, rows) -> int:
     return len(rref(F, rows)[0])
 
 
+def perp(F: Field, rows, pivots, dim: int) -> tuple:
+    """The vectors a with a . r = 0 for every row r of an RREF basis (pivots) of F^dim, one
+    e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c: the equations of the span
+    (x lies in it iff every a . x = 0), or the kernel of a matrix in RREF."""
+    out = []
+    for c in range(dim):
+        if c not in pivots:
+            a = [F.zero] * dim
+            a[c] = F.one
+            for row, q in zip(rows, pivots):
+                a[q] = F.sub(F.zero, row[c])
+            out.append(tuple(a))
+    return tuple(out)
+
+
 class SubspaceTable(Frozen):
     """The subspaces :func:`subspaces` lists: ``rows`` holds each one's echelon rows and ``pivot_sets``
     one ``(pivots, range of their indices)`` per pivot set, whose subspaces are consecutive."""
@@ -236,3 +252,55 @@ def subspaces(p: int, dim: int) -> SubspaceTable:
             rows.extend(itertools.product(*choices))
             pivot_sets.append((pivots, range(first, len(rows))))
     return SubspaceTable(tuple(rows), tuple(pivot_sets))
+
+
+def subspace_interval(p: int, dim: int, lower: tuple, upper: tuple) -> tuple:
+    """The subspaces S of F_p^dim with span(lower) <= S <= span(upper), for RREF bases lower and
+    upper, as one ``(pivots, ascending indices into subspaces(p, dim))`` segment per pivot set
+    that has any.  With lower 0 and upper everything this is the table's own ``pivot_sets``;
+    other intervals are solved once and kept in a cache of the last 4096."""
+    if not lower and len(upper) == dim:
+        return subspaces(p, dim).pivot_sets
+    return _interval(p, dim, lower, upper)
+
+
+@lru_cache(maxsize=4096)
+def _interval(p: int, dim: int, lower: tuple, upper: tuple) -> tuple:
+    # With pivots P, row i of S is e_{P_i} plus a free entry x at each column c > P_i not in P,
+    # and S's index in its pivot set is the base-p numeral of the free entries, row by row.
+    # Both bounds are linear in them: each u in lower is sum_i u[P_i] row_i at every column not
+    # in P, and every equation a of upper has a . row_i = 0.  The system is reduced with its
+    # free entries in reverse, so each solved entry depends on unsolved entries before it only,
+    # and the unsolved ones, taken in lexicographic order, give ascending indices.
+    F = PrimeField(p)
+    leads = {row.index(1) for row in lower}
+    tops = tuple(row.index(1) for row in upper)
+    equations = perp(F, upper, tops, dim)
+    out = []
+    for pivots, seq in subspaces(p, dim).pivot_sets:
+        if not leads.issubset(pivots) or not set(pivots).issubset(tops):
+            continue
+        slots = [(i, c) for i, c0 in enumerate(pivots) for c in range(c0 + 1, dim) if c not in pivots][::-1]
+        n = len(slots)
+        system = [[u[pivots[r]] if col == c else 0 for r, col in slots] + [u[c]]
+                  for u in lower for c in range(dim) if c not in pivots]
+        system += [[a[col] if r == i else 0 for r, col in slots] + [-a[c0] % p]
+                   for a in equations for i, c0 in enumerate(pivots)]
+        rows, cols = rref(F, system)
+        if cols and cols[-1] == n:
+            continue  # no solution
+        solved = {n - 1 - j: row for row, j in zip(rows, cols)}
+        if not solved:
+            out.append((pivots, seq))
+            continue
+        free = [s for s in range(n) if s not in solved]
+        weights = [p ** (n - 1 - s) for s in free]
+        terms = [(p ** (n - 1 - k), row[n], [-row[n - 1 - s] % p for s in free]) for k, row in solved.items()]
+        indices = []
+        for values in itertools.product(range(p), repeat=len(free)):
+            index = seq.start + sum(map(mul, values, weights))
+            for weight, b, coeffs in terms:
+                index += weight * ((b + sum(map(mul, coeffs, values))) % p)
+            indices.append(index)
+        out.append((pivots, tuple(indices)))
+    return tuple(out)

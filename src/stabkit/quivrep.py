@@ -1,10 +1,11 @@
 """Acyclic quivers, their finite-dimensional representations, and the
 brute-force subobject / intertwiner oracles.
 
-Everything is desk scale by design: submodule enumeration walks every
-tuple of per-vertex echelon subspaces and filters by arrow invariance,
-so it is only available over finite fields and below a configurable
-total-dimension cap.
+Everything is desk scale by design: submodule enumeration walks the
+tuples of per-vertex echelon subspaces vertex by vertex, taking at each
+vertex the interval of subspaces that the arrows to the earlier vertices
+allow, so it is only available over finite fields and below a
+configurable total-dimension cap and work budget.
 """
 
 from __future__ import annotations
@@ -316,9 +317,10 @@ def sub_dims(rep: QuiverRep, cap: int = DEFAULT_CAP) -> list[DimVector]:
 def enumerate_submodules(rep: QuiverRep, cap: int = DEFAULT_CAP) -> SubmoduleLattice:
     """Every arrow-invariant subspace tuple, including 0 and rep itself.
 
-    Per-vertex subspaces are enumerated in reduced echelon form and the
-    product is filtered by invariance, so the member order is canonical
-    (vertex 1 varies slowest) and free of duplicates.  The lattice
+    Per-vertex subspaces are enumerated in reduced echelon form, each
+    vertex taking the interval its arrows to the earlier vertices allow,
+    so the member order is canonical (vertex 1 varies slowest) and free
+    of duplicates.  The lattice
     depends on the representation alone, so equal representations share
     one immutable :class:`SubmoduleLattice` from a small memo; the field,
     cap and budget checks run on every call, before any table is built.
@@ -425,46 +427,45 @@ _lattice = functools.lru_cache(maxsize=8)(SubmoduleLattice)
 def _enumerate(rep: QuiverRep):
     # Arrows are checked at the later of their two endpoints; an arrow
     # whose matrix has no nonzero entry constrains nothing and is dropped.
-    # A vertex's candidates, (pivots, indices) per pivot set, are filtered
-    # once per choice at the earlier vertices its arrows tie it to; a vertex
-    # tied to none keeps its whole table.  Images of a candidate's rows into
-    # an earlier target are taken once per candidate.  The last vertex of
-    # positive dimension, w, adds one block per choice at the earlier ones.
-    F, n = rep.field, rep.quiver.n
-    tables = tuple(linalg.subspaces(F.p, d) for d in rep.dims)
+    # Given the choices at the earlier vertices, the candidates at v are
+    # the subspaces between U, the span of the images of the arrows into v,
+    # and K, the preimage under the arrows out of v of the subspaces chosen
+    # at their targets: linalg.subspace_interval solves that interval per
+    # pivot set and caches it, and it is read once per choice at the
+    # vertices v's arrows tie it to.  A vertex tied to none, or whose
+    # interval is the whole space, takes its whole table.  Images of rows
+    # are taken once per lattice.  The last vertex of positive dimension,
+    # w, adds one block per choice at the earlier ones.
+    F, n, dims = rep.field, rep.quiver.n, rep.dims
+    tables = tuple(linalg.subspaces(F.p, d) for d in dims)
     strides = tuple(math.prod(map(len, tables[v + 1:])) for v in range(n))
     arrows = [(M, a.src - 1, a.tgt - 1) for M, a in zip(rep.maps, rep.quiver.arrows) if any(map(any, M))]
     into = [[(M, s) for M, s, t in arrows if t == v and s < v] for v in range(n)]
+    back = [[(tuple(zip(*M)), t) for M, s, t in arrows if s == v and t < v] for v in range(n)]
     ties = [sorted({min(s, t) for M, s, t in arrows if max(s, t) == v}) for v in range(n)]
-    images = []
-    for v, table in enumerate(tables):
-        back = [(M, t) for M, s, t in arrows if s == v and t < v]
-        images.append([[(t, ims) for M, t in back if (ims := _images(F, M, rows))] for rows in table.rows]
-                      if back else None)
-    w = max((v for v, d in enumerate(rep.dims) if d), default=0)
+    w = max((v for v, d in enumerate(dims) if d), default=0)
     tail = ((),) * (n - 1 - w)  # pivots of the later vertices
     positions = array("I") if arrows else None
-    starts, runs, first, memo = [], [], {}, {}
+    starts, runs, first, memo, images = [], [], {}, {}, {}
     chosen, chosen_rows, chosen_pivots = [None] * n, [None] * n, [None] * n
+
+    def image(M, u):
+        if (im := images.get((id(M), u))) is None:
+            im = images[id(M), u] = linalg.mat_vec(F, M, u)
+        return im
 
     def candidates(v):
         if not ties[v]:
             return tables[v].pivot_sets
         key = (v, *(chosen[u] for u in ties[v]))
         if (segments := memo.get(key)) is None:
-            rows_v = tables[v].rows
-            fixed = [im for M, s in into[v] for im in _images(F, M, chosen_rows[s])]
-            # a nonzero vector of an echelon span leads at a pivot: skip pivot sets missing a lead
-            leads = {next(i for i, x in enumerate(im) if x) for im in fixed}
-            segments = memo[key] = []
-            for pivots, seq in tables[v].pivot_sets:
-                if not leads.issubset(pivots):
-                    continue
-                keep = [c for c in seq if (not fixed or _maps_into(F, fixed, rows_v[c], pivots)) and (
-                    images[v] is None or all(_maps_into(F, ims, chosen_rows[t], chosen_pivots[t])
-                                             for t, ims in images[v][c]))]
-                if keep:
-                    segments.append((pivots, keep))
+            lower = linalg.rref(F, [image(M, u) for M, s in into[v] for u in chosen_rows[s]])[0]
+            upper = tables[v].rows[-1]  # the whole space, unless an arrow goes back from v
+            if back[v]:  # x is in K when M x satisfies the equations of the subspace chosen at each target
+                kernel = linalg.rref(F, [linalg.mat_vec(F, MT, a) for MT, t in back[v]
+                                         for a in linalg.perp(F, chosen_rows[t], chosen_pivots[t], dims[t])])
+                upper = linalg.rref(F, linalg.perp(F, *kernel, dims[v]))[0]
+            segments = memo[key] = linalg.subspace_interval(F.p, dims[v], lower, upper)
         return segments
 
     def block(base, count):

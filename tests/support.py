@@ -9,7 +9,9 @@ submodule enumeration: it never touches row reduction.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from stabkit.exactnum import ExactComplex
 from stabkit.linalg import field_by_name
@@ -39,6 +41,9 @@ BACKWARD_QUIVERS = {
     "A3 1<-2->3": Quiver(3, (Arrow("a", 2, 1), Arrow("b", 2, 3))),
     "A3 1->2<-3": Quiver(3, (Arrow("a", 1, 2), Arrow("b", 3, 2))),
     "K2 2=>1": Quiver(2, (Arrow("a", 2, 1), Arrow("b", 2, 1))),
+    # vertex 3 has an arrow in from vertex 1 and one back to vertex 2, so
+    # both bounds of its candidate interval constrain it
+    "A3 1->3->2": Quiver(3, (Arrow("a", 1, 3), Arrow("b", 3, 2))),
 }
 
 F2 = field_by_name("F2")
@@ -78,6 +83,52 @@ def simple_rep(quiver: Quiver, field, vertex: int) -> QuiverRep:
 def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
     """First extension-space dimension, defined by hom - euler for acyclic quivers."""
     return hom_dim(M, N) - euler_form(M.quiver, M.dims, N.dims)
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """The number [n, k]_q of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def all_reps(quiver: Quiver, field, dims) -> list[QuiverRep]:
+    """Every representation of quiver with dimension vector dims over the finite field."""
+    shapes = [(dims[a.tgt - 1], dims[a.src - 1]) for a in quiver.arrows]
+    out = []
+    for entries in product(range(field.p), repeat=sum(r * c for r, c in shapes)):
+        it, maps = iter(entries), []
+        for r, c in shapes:
+            maps.append(tuple(tuple(next(it) for _ in range(c)) for _ in range(r)))
+        out.append(QuiverRep(quiver, field, tuple(dims), tuple(maps)))
+    return out
+
+
+def whole_space_submodule_counts(quiver: Quiver, field, dims) -> tuple[Counter, dict]:
+    """Both sides of the whole-space submodule count: for every e <= dims,
+
+        sum over M in R_d(F_q) of #{U <= M : dim U = e}
+            = prod_i [d_i, e_i]_q * q ** sum_{arrows i->j} (d_i d_j - e_i (d_j - e_j)),
+
+    since for each choice of the U_i the matrices mapping every U_i into U_j
+    are counted arrow by arrow.  The left side is counted from
+    ``enumerate_submodules``, the right side needs no enumeration."""
+    q = field.p
+    counted = Counter()
+    for r in all_reps(quiver, field, dims):
+        lattice = enumerate_submodules(r)
+        counted.update(lattice.member(i).dims for i in range(len(lattice)))
+    formula = {}
+    for e in product(*(range(d + 1) for d in dims)):
+        count = 1
+        for d, k in zip(dims, e):
+            count *= gaussian_binomial(d, k, q)
+        exponent = sum(dims[a.src - 1] * dims[a.tgt - 1] - e[a.src - 1] * (dims[a.tgt - 1] - e[a.tgt - 1])
+                       for a in quiver.arrows)
+        formula[e] = count * q ** exponent
+    return counted, formula
 
 
 def labelled(reps: dict[str, QuiverRep], names) -> list[tuple[str, FormalComplex]]:

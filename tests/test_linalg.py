@@ -8,6 +8,8 @@ from stabkit import linalg
 from stabkit.errors import UnsupportedScalarError, WrongFieldError
 from stabkit.linalg import FIELDS, PrimeField
 
+from support import gaussian_binomial
+
 
 def nested_loop_subspaces(p: int, dim: int):
     """The slot-by-slot construction of every echelon basis, kept as the
@@ -30,14 +32,6 @@ def nested_loop_subspaces(p: int, dim: int):
                     rows[i][c] = v
                 out.append((tuple(tuple(row) for row in rows), tuple(pivots)))
     return tuple(out)
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 def table_pairs(table: linalg.SubspaceTable) -> tuple:
@@ -98,6 +92,53 @@ def test_subspace_table_holds_no_per_subspace_pair():
     assert all(type(rows) is tuple and all(len(row) == 5 for row in rows) for rows in table.rows)
     assert [pivots for pivots, _ in table.pivot_sets] == [
         pivots for r in range(6) for pivots in itertools.combinations(range(5), r)]
+
+
+def filtered_interval(p: int, dim: int, lower, upper) -> list:
+    """The subspaces between two RREF bases by a test of every table entry: the reference for
+    ``linalg.subspace_interval``."""
+    F, table = PrimeField(p), linalg.subspaces(p, dim)
+    tops = tuple(row.index(1) for row in upper)
+    out = []
+    for pivots, indices in table.pivot_sets:
+        keep = [i for i in indices if all(linalg.in_span(F, u, table.rows[i], pivots) for u in lower)
+                and all(linalg.in_span(F, row, upper, tops) for row in table.rows[i])]
+        if keep:
+            out.append((pivots, keep))
+    return out
+
+
+def interval_pairs(p: int, dim: int, rng=None, count=None):
+    """Every pair lower <= upper of subspaces of F_p^dim, or count seeded ones."""
+    F, rows = PrimeField(p), linalg.subspaces(p, dim).rows
+    if rng is None:
+        return [(lower, upper) for upper in rows for lower in rows
+                if all(linalg.in_span(F, u, upper, tuple(r.index(1) for r in upper)) for u in lower)]
+    pairs = []
+    for _ in range(count):
+        upper = rng.choice(rows)
+        combos = [[rng.randrange(p) for _ in upper] for _ in range(rng.randint(0, len(upper)))]
+        lower = linalg.rref(F, [[sum(x * row[c] for x, row in zip(combo, upper)) % p for c in range(dim)]
+                                for combo in combos])[0]
+        pairs.append((lower, upper))
+    return pairs
+
+
+@pytest.mark.parametrize("p, dim, count", [(2, 3, None), (3, 2, None), (2, 4, None), (5, 3, 150), (7, 3, 150)])
+def test_subspace_interval_matches_the_filter(p, dim, count):
+    pairs = interval_pairs(p, dim, random.Random(f"{p}/{dim}") if count else None, count)
+    assert count or len(pairs) == {(2, 3): 66, (3, 2): 15, (2, 4): 513}[p, dim]
+    for lower, upper in pairs:
+        got = linalg.subspace_interval(p, dim, lower, upper)
+        assert [(pivots, list(indices)) for pivots, indices in got] == filtered_interval(p, dim, lower, upper)
+
+
+def test_subspace_interval_of_the_whole_space_is_the_table():
+    for p, dim in ((2, 0), (2, 3), (7, 3)):
+        table = linalg.subspaces(p, dim)
+        before = linalg._interval.cache_info()
+        assert linalg.subspace_interval(p, dim, (), table.rows[-1]) is table.pivot_sets
+        assert linalg._interval.cache_info() == before
 
 
 def test_field_refusals():

@@ -43,6 +43,7 @@ from support import (
     simple_rep,
     submodule_as_sets,
     submodule_sets_bruteforce,
+    whole_space_submodule_counts,
     zero_rep,
 )
 
@@ -91,6 +92,26 @@ def test_hom_requires_same_context(a2_reps):
     other = rep(A2, F3, (1, 0))
     with pytest.raises(FieldMismatchError):
         hom_dim(a2_reps["S1"], other)
+
+
+def test_library_refusals_by_class_and_message(a2_reps):
+    P = a2_reps["P"]
+    for alpha, beta in (((1,), (0, 1)), ((1, 0), (0, 1, 0))):
+        with pytest.raises(SchemaError, match="^at /euler_form: dimension vectors must have length 2$"):
+            euler_form(A2, alpha, beta)
+    kronecker = rep(KRONECKER, F2, (1, 1))
+    for combine in (direct_sum, hom_dim):
+        with pytest.raises(FieldMismatchError, match="^representations live over different quivers$"):
+            combine(P, kronecker)
+    # a submodule of another representation, as the lower or the upper bound
+    SS = a2_reps["SS"]
+    for lower, upper in ((zero_submodule(SS), full_submodule(P)), (zero_submodule(P), full_submodule(SS))):
+        with pytest.raises(FieldMismatchError, match="^submodule belongs to a different representation$"):
+            subquotient(P, lower, upper)
+    (s2,) = [s for s in members(enumerate_submodules(P)) if s.dims == (0, 1)]
+    for lower, upper in ((full_submodule(P), s2), (s2, zero_submodule(P))):
+        with pytest.raises(SchemaError, match="^at /submodule: the lower submodule is not contained in the upper one$"):
+            subquotient(P, lower, upper)
 
 
 def test_euler_form_examples():
@@ -393,6 +414,19 @@ def test_backward_arrows_against_span_closure(name):
             as_sets = [submodule_as_sets(s) for s in members(lattice)]
             assert len(set(as_sets)) == len(lattice)
             assert set(as_sets) == submodule_sets_bruteforce(r)
+
+
+@pytest.mark.parametrize("quiver, field, dims", [
+    (A2, F2, (2, 2)), (A2, F3, (2, 2)), (KRONECKER, F2, (2, 2)), (A3, F2, (1, 2, 1)),
+    (BACKWARD_QUIVERS["A2 2->1"], F2, (2, 2)), (BACKWARD_QUIVERS["A3 1<-2->3"], F2, (1, 2, 1)),
+    (BACKWARD_QUIVERS["A3 1->2<-3"], F2, (1, 1, 1)), (BACKWARD_QUIVERS["K2 2=>1"], F2, (1, 2)),
+    (BACKWARD_QUIVERS["A3 1->3->2"], F2, (1, 1, 2)),
+], ids=["A2-F2", "A2-F3", "K2-F2", "A3-F2", "A2 2->1", "A3 1<-2->3", "A3 1->2<-3", "K2 2=>1", "A3 1->3->2"])
+def test_whole_space_submodule_count(quiver, field, dims):
+    # summed over every representation of dims, the submodules of each
+    # dimension vector e are counted by Gaussian binomials alone
+    counted, formula = whole_space_submodule_counts(quiver, field, dims)
+    assert counted == formula
 
 
 def test_submodules_of_different_parents_differ():
