@@ -209,32 +209,61 @@ def perp(F: Field, rows, pivots, dim: int) -> tuple:
 
 
 class SubspaceTable(Frozen):
-    """The subspaces :func:`subspaces` lists: ``rows`` holds each one's echelon rows and ``pivot_sets``
-    one ``(pivots, range of their indices)`` per pivot set, whose subspaces are consecutive."""
-
-    __slots__ = ("rows", "pivot_sets")
-
-    def __init__(self, rows: tuple, pivot_sets: tuple):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivot_sets", pivot_sets)
-
-    def __len__(self):
-        return len(self.rows)
-
-
-@lru_cache(maxsize=None)
-def subspaces(p: int, dim: int) -> SubspaceTable:
     """All subspaces of F_p^dim by their RREF rows, canonically ordered.
 
     Order: ascending rank, then pivot-column sets lexicographically, then
     free entries lexicographically over 0..p-1, row by row.  Every
-    subspace appears exactly once because RREF bases are unique.  The
-    free entries of different rows are independent, so the bases of one
-    pivot set are the product of per-row choices, and equal rows are one
-    shared tuple.
+    subspace appears exactly once because RREF bases are unique.
+    ``pivot_sets`` holds one ``(pivots, range of their indices)`` per
+    pivot set, whose subspaces are consecutive; a pivot set with f free
+    entries has p**f of them, so ``pivot_sets`` and ``len`` are counted.
+    ``whole`` holds the echelon rows of the whole space (the identity),
+    the last subspace.  ``rows`` holds each subspace's echelon rows as one
+    flat tuple, built on first read and a plain slot from then on.  A
+    table is determined by ``(p, dim)``: ``==``, ``hash``, ``repr`` and
+    pickling go by that pair, built rows or not.
     """
+
+    __slots__ = ("p", "dim", "pivot_sets", "whole", "rows")
+
+    def __init__(self, p: int, dim: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dim", dim)
+        pivot_sets, first = [], 0
+        for r in range(dim + 1):
+            for pivots in itertools.combinations(range(dim), r):
+                # row i has a free entry at each column after pivots[i] that is not a pivot
+                count = p ** sum(dim - 1 - c0 - (r - 1 - i) for i, c0 in enumerate(pivots))
+                pivot_sets.append((pivots, range(first, first + count)))
+                first += count
+        object.__setattr__(self, "pivot_sets", tuple(pivot_sets))
+        object.__setattr__(self, "whole", identity_matrix(PrimeField(p), dim))
+
+    def __getattr__(self, name):  # reached only while the rows slot is unset
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = _echelon_rows(self.p, self.dim)
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def __len__(self):
+        return self.pivot_sets[-1][1].stop
+
+    def _values(self) -> tuple:
+        return self.p, self.dim
+
+    def __repr__(self):
+        return f"SubspaceTable(p={self.p}, dim={self.dim})"
+
+
+subspaces = lru_cache(maxsize=None)(SubspaceTable)  # one table per (p, dim)
+
+
+def _echelon_rows(p: int, dim: int) -> tuple:
+    # The free entries of different rows are independent, so the bases of one pivot set are
+    # the product of per-row choices, and equal rows are one shared tuple.
     elements = PrimeField(p).elements()
-    rows, pivot_sets = [()], [((), range(1))]
+    rows = [()]
     for r in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), r):
             choices = []
@@ -248,10 +277,8 @@ def subspaces(p: int, dim: int) -> SubspaceTable:
                         row[c] = x
                     per_row.append(tuple(row))
                 choices.append(per_row)
-            first = len(rows)
             rows.extend(itertools.product(*choices))
-            pivot_sets.append((pivots, range(first, len(rows))))
-    return SubspaceTable(tuple(rows), tuple(pivot_sets))
+    return tuple(rows)
 
 
 def subspace_interval(p: int, dim: int, lower: tuple, upper: tuple) -> tuple:

@@ -15,7 +15,7 @@ import functools
 import graphlib
 import math
 from array import array
-from itertools import product, repeat
+from itertools import product
 
 from . import linalg
 from .errors import (
@@ -340,8 +340,12 @@ class SubmoduleLattice(Frozen):
 
     A member is stored as its position in the product of the per-vertex
     ``linalg.subspaces`` tables, vertex 1 slowest: ``_radix`` holds
-    ``(rows, stride, size)`` of each table, and the member's subspace at
-    vertex v is ``rows[position // stride % size]``.  The positions are a
+    ``(table, stride, size)`` per vertex, and the member's subspace at
+    vertex v is ``table.rows[position // stride % size]``.  A table builds
+    its rows on first read: the enumeration reads them only at the vertices
+    before the last one of positive dimension, and :meth:`walk` and
+    :meth:`member` where they read a member, so a verdict read off the
+    classes alone builds no more.  The positions are a
     ``range`` when no arrow constrains anything, else an array of 4-byte
     ints.  Consecutive members with one pivots tuple form a run; ``_runs``
     holds its ``(pivots, dims, total_dim)`` and ``_starts`` the index of its
@@ -371,7 +375,7 @@ class SubmoduleLattice(Frozen):
 
     def _rows(self, index: int) -> tuple:
         k = self._positions[index]
-        return tuple([rows[k // s % m] for rows, s, m in self._radix])
+        return tuple([table.rows[k // s % m] for table, s, m in self._radix])
 
     def member(self, index: int) -> Submodule:
         """The member at index, built on its own."""
@@ -384,12 +388,14 @@ class SubmoduleLattice(Frozen):
         pivots = self._runs[bisect.bisect_right(self._starts, index) - 1][0]
         return _contains(self.rep, self._rows(index), pivots, sub.rows)
 
-    def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, int]]:
-        """(dims, total_dim, index) of each member strictly above step, or
-        strictly inside it when above is false, in canonical order.  A run
-        whose dims rule it out is skipped whole, and one whose dims settle
-        containment at every vertex is taken whole; otherwise containment
-        is decided once per vertex and candidate index."""
+    def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, range | list[int]]]:
+        """One (dims, total_dim, indices) per run that has a member strictly
+        above step, or strictly inside it when above is false, in canonical
+        order; indices are those members' ascending indices.  A run whose
+        dims rule it out is skipped whole, and one whose dims settle
+        containment at every vertex is taken whole, as a range; otherwise
+        containment is decided once per vertex and candidate index, and
+        indices lists the members that pass."""
         F, full, sign, out = self.rep.field, self.rep.dims, 1 if above else -1, []
         positions, radix = self._positions, self._radix
         known: list[dict] = [{} for _ in full]  # per vertex: candidate index -> contains
@@ -405,19 +411,22 @@ class SubmoduleLattice(Frozen):
             if (open_ := open_at[dims]) is None:
                 continue
             if not open_:
-                out.extend(zip(repeat(dims), repeat(total_dim), range(start, end)))
+                out.append((dims, total_dim, range(start, end)))
                 continue
+            hits = []
             for i in range(start, end):
                 for v in open_:
                     table, s, m = radix[v]
                     if (hit := known[v].get(c := positions[i] // s % m)) is None:
-                        rows = table[c]
+                        rows = table.rows[c]
                         hit = known[v][c] = (_maps_into(F, step.rows[v], rows, pivots[v]) if above
                                              else _maps_into(F, rows, step.rows[v], step.pivots[v]))
                     if not hit:
                         break
                 else:
-                    out.append((dims, total_dim, i))
+                    hits.append(i)
+            if hits:
+                out.append((dims, total_dim, hits))
         return out
 
 
@@ -460,7 +469,7 @@ def _enumerate(rep: QuiverRep):
         key = (v, *(chosen[u] for u in ties[v]))
         if (segments := memo.get(key)) is None:
             lower = linalg.rref(F, [image(M, u) for M, s in into[v] for u in chosen_rows[s]])[0]
-            upper = tables[v].rows[-1]  # the whole space, unless an arrow goes back from v
+            upper = tables[v].whole  # unless an arrow goes back from v
             if back[v]:  # x is in K when M x satisfies the equations of the subspace chosen at each target
                 kernel = linalg.rref(F, [linalg.mat_vec(F, MT, a) for MT, t in back[v]
                                          for a in linalg.perp(F, chosen_rows[t], chosen_pivots[t], dims[t])])
@@ -493,7 +502,7 @@ def _enumerate(rep: QuiverRep):
         return count
 
     count = descend(0, 0, 0)
-    radix = tuple((t.rows, s, len(t)) for t, s in zip(tables, strides))
+    radix = tuple((t, s, len(t)) for t, s in zip(tables, strides))
     return radix, positions if arrows else range(count), tuple(starts), tuple(runs), first
 
 

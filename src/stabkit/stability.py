@@ -216,19 +216,19 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     while not chain[-1].is_full:
         A = chain[-1]
         above = subs.walk(A, above=True)
-        # phase(C/A) is compared once per class; max keeps the first maximal class in list order
+        # phase(C/A) is compared once per class; max keeps the first maximal class in run order
         by_class = {beta: phase(quivrep.dim_sub(beta, A.dims), Z)
                     for beta in dict.fromkeys(beta for beta, _, _ in above)}
         best = max(by_class.values())
         top_classes = {beta for beta, p in by_class.items() if p == best}
         maxdim = max(total_dim for beta, total_dim, _ in above if beta in top_classes)
-        top = [index for beta, total_dim, index in above if beta in top_classes and total_dim == maxdim]
-        if len(top) != 1:
+        top = [indices for beta, total_dim, indices in above if beta in top_classes and total_dim == maxdim]
+        if (count := sum(map(len, top))) != 1:
             raise InvariantViolation(
                 "maximal-phase subobject of maximal dimension is not unique; "
-                f"{len(top)} candidates of dimension {maxdim - A.total_dim}"
+                f"{count} candidates of dimension {maxdim - A.total_dim}"
             )
-        chain.append(subs.member(top[0]))
+        chain.append(subs.member(top[0][0]))
         phases.append(best)
     filt = _filtration(rep, chain, phases)
     if validate:
@@ -256,10 +256,10 @@ def _mdq_kernel(current: Submodule, subs: quivrep.SubmoduleLattice, Z: CentralCh
                 for beta in dict.fromkeys(beta for beta, _, _ in kernels)}
     best = min(by_class.values())
     low_classes = {beta for beta, p in by_class.items() if p == best}
-    tied = [(total_dim, index) for beta, total_dim, index in kernels if beta in low_classes]
-    first = min(tied)[1]
+    tied = [(total_dim, indices) for beta, total_dim, indices in kernels if beta in low_classes]
+    first = min((total_dim, indices[0]) for total_dim, indices in tied)[1]
     K = subs.member(first)
-    if any(index != first and not subs.member_contains(index, K) for _, index in tied):
+    if any(index != first and not subs.member_contains(index, K) for _, indices in tied for index in indices):
         raise InvariantViolation(
             "no maximally destabilising quotient: phase-minimal quotients do not factor through a common one"
         )

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from stabkit.quivrep import enumerate_submodules
 from stabkit.stability import CentralCharge, check_discreteness, hn_filtration_max_sub, hn_filtration_mdq, is_semistable
 from stabkit.stabspace import GLtildeElement, mat2, mat2_det
 
-from support import A2, F2, ec, rep
+from support import A2, F2, charge, ec, rep
 
 
 def float_relabel(g: GLtildeElement, v: float) -> float:
@@ -222,6 +223,24 @@ def test_budget_refuses_before_any_table_is_built(fixture_path, tmp_path, field,
     assert linalg.subspaces.cache_info().misses == built
     # the largest ladder shape over F7 stays within the budget
     assert quivrep._subspace_counts(7, (0, 5)) == (1, len(linalg.subspaces(7, 5))) == (1, 285704)
+
+
+def test_semistable_verdict_builds_no_subspace_rows():
+    # an aligned charge leaves no class of larger phase, so the verdict reads the lattice's
+    # classes and no member: the 285,704 subspaces of F7^5 are counted per pivot set, not built
+    r = rep(A2, linalg.field_by_name("F7"), (0, 5))
+    Z = charge((1, 2), (3, 6))
+    linalg.subspaces.cache_clear()
+    quivrep._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        cert = is_semistable(r, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "semistable" and cert.witness is None
+    assert len(enumerate_submodules(r)) == 285_704
+    assert peak < 2 * 10**6
 
 
 def test_budget_is_checked_on_memo_hits(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -92,6 +93,26 @@ def test_subspace_table_holds_no_per_subspace_pair():
     assert all(type(rows) is tuple and all(len(row) == 5 for row in rows) for rows in table.rows)
     assert [pivots for pivots, _ in table.pivot_sets] == [
         pivots for r in range(6) for pivots in itertools.combinations(range(5), r)]
+
+
+def test_subspace_table_builds_its_rows_on_first_read():
+    slot = linalg.SubspaceTable.rows.__get__  # reads the slot without the first-read build
+    for p, dim in ((2, 0), (3, 4), (7, 5)):
+        table = linalg.SubspaceTable(p, dim)
+        assert len(table) == table.pivot_sets[-1][1].stop == sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
+        assert table.whole == linalg.identity_matrix(PrimeField(p), dim)
+        with pytest.raises(AttributeError):
+            slot(table)
+        if p < 7:  # F7^5 has 285,704 subspaces, counted above and not built
+            assert table.rows is slot(table) and len(table.rows) == len(table) and table.rows[-1] == table.whole
+        # equality, hash, repr and pickling go by (p, dim), built rows or not
+        fresh = pickle.loads(pickle.dumps(table))
+        assert fresh == table and hash(fresh) == hash(table) and repr(fresh) == f"SubspaceTable(p={p}, dim={dim})"
+        with pytest.raises(AttributeError):
+            slot(fresh)
+    assert linalg.SubspaceTable(2, 3) != linalg.SubspaceTable(3, 2)
+    with pytest.raises(AttributeError, match="has no attribute 'row'"):
+        linalg.SubspaceTable(2, 2).row
 
 
 def filtered_interval(p: int, dim: int, lower, upper) -> list:

@@ -2,7 +2,7 @@ import copy
 import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -290,13 +290,22 @@ def test_member_loop_against_span_closure(quiver, dims, field):
             first.setdefault(s.dims, i)
         assert list(lattice.classes()) == list(first.items())
         assert lattice.member(-1) == subs[-1] and subs[-1].is_full
-        # the walk: each member strictly above or strictly inside a step, by index
+        # the walk: each member strictly above or strictly inside a step, by index, one entry
+        # per run (consecutive members with one pivots tuple) that has any, carrying its class
+        run_of = list(accumulate((s.pivots != t.pivots for t, s in zip(subs, subs[1:])), initial=0))
         for step in subs:
             for above in (True, False):
                 want = [(C.dims, C.total_dim, i) for i, C in enumerate(subs)
                         if (C.total_dim > step.total_dim and C.contains(step) if above
                             else C.total_dim < step.total_dim and step.contains(C))]
-                assert lattice.walk(step, above) == want
+                runs = lattice.walk(step, above)
+                assert [(beta, total, i) for beta, total, indices in runs for i in indices] == want
+                assert len({run_of[indices[0]] for _, _, indices in runs}) == len(runs)
+                for beta, total, indices in runs:
+                    assert len({run_of[i] for i in indices}) == 1
+                    assert all((subs[i].dims, subs[i].total_dim) == (beta, total) for i in indices)
+                    if type(indices) is range:  # a run taken whole
+                        assert list(indices) == [i for i in range(len(subs)) if run_of[i] == run_of[indices[0]]]
 
 
 def test_against_independent_enumerator():

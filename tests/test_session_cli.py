@@ -592,6 +592,15 @@ def _sqrt2_path_endpoint(doc):
     doc["charges"]["Zwall1"]["z"][1]["im"] = {"a": "0", "b": "1"}
 
 
+def _quadratic_im(scalar, quad_d=None):
+    """Set the last imaginary part of Zpert to scalar, and D to quad_d when given."""
+    def mutate(doc):
+        if quad_d is not None:
+            doc["D"] = quad_d
+        doc["charges"]["Zpert"]["z"][1]["im"] = scalar
+    return mutate
+
+
 # Fixture mutations refused with the document pointer of the constructor
 # argument at fault: (label, mutation, error class, start of the message).
 POINTER_REFUSALS = [
@@ -614,6 +623,20 @@ POINTER_REFUSALS = [
      "at /paths/path1: charge paths require rational endpoint charges"),
     ("empty testset", lambda doc: doc["testsets"].update(empty=[]), "SchemaError",
      "at /testsets/empty: a testset needs at least one object"),
+    ("quadratic scalar without D", _quadratic_im({"a": "1", "b": "1"}), "SchemaError",
+     "at /charges/Zpert/z/1/im: quadratic scalar used but the document declares no D"),
+    ("unknown scalar field", _quadratic_im({"a": "1", "b": "1", "c": "1"}, 2), "SchemaError",
+     "at /charges/Zpert/z/1/im: unknown scalar fields ['c']"),
+    ("shift key x", lambda doc: doc["complexes"].update(C={"parts": {"x": "S1"}}), "SchemaError",
+     "at /complexes/C/parts/x: shift keys must be integers"),
+    ("testset named all", lambda doc: doc["testsets"].update(all=["S1"]), "SchemaError",
+     "at /testsets/all: 'all' is a reserved testset name"),
+    ("unknown track rep", lambda doc: doc["paths"]["path1"].update(track=["P", "T"]), "SchemaError",
+     "at /paths/path1/track: unknown representation 'T'"),
+    ("one-class wall pair", lambda doc: doc["paths"]["path1"].update(pairs=[[[0, 1]]]), "SchemaError",
+     "at /paths/path1/pairs/0: a pair is two integer vectors of length 2"),
+    ("unknown top-level field", lambda doc: doc.update(notes="x", Extra=1), "SchemaError",
+     "at /: unknown top-level fields ['Extra', 'notes']"),
 ]
 
 

@@ -62,6 +62,7 @@ def representatives():
         (a2, "Quiver(n=2, arrows=(Arrow(name='a', src=1, tgt=2),))"),
         (rep, rep_text),
         (quivrep.SubmoduleLattice(rep), f"SubmoduleLattice(rep={rep_text})"),
+        (linalg.SubspaceTable(2, 2), "SubspaceTable(p=2, dim=2)"),
         (stabspace.GLtildeElement(stabspace.mat2(1, 2, 0, 1), -1), f"GLtildeElement(T={t}, m=-1)"),
     ]
 
