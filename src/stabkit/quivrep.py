@@ -206,7 +206,15 @@ class Submodule(Frozen):
         return self.dims == self.parent.dims
 
     def contains(self, other: "Submodule") -> bool:
-        return _contains(self.parent, self.rows, self.pivots, other.rows)
+        """Whether other lies in self at every vertex: larger dimensions are rejected before any
+        span test, and a vertex where self is the whole space needs none."""
+        if any(o > d for o, d in zip(other.dims, self.dims)):
+            return False  # echelon rows are independent
+        F = self.parent.field
+        for rows, pivots, d, n, theirs in zip(self.rows, self.pivots, self.dims, self.parent.dims, other.rows):
+            if d < n and not _maps_into(F, theirs, rows, pivots):
+                return False
+        return True
 
 
 _set_parent, _set_rows, _set_pivots = Submodule.parent.__set__, Submodule.rows.__set__, Submodule.pivots.__set__
@@ -223,21 +231,6 @@ def _member(parent: QuiverRep, rows, pivots, dims: DimVector, total_dim: int) ->
     _set_dims(sub, dims)
     _set_total_dim(sub, total_dim)
     return sub
-
-
-def _contains(rep: QuiverRep, rows, pivots, theirs) -> bool:
-    """Whether, at every vertex of rep, the echelon basis rows (pivots) spans the rows theirs."""
-    for o, r in zip(theirs, rows):
-        if len(o) > len(r):
-            return False  # echelon rows are independent
-    F = rep.field
-    for mine, piv, d, their in zip(rows, pivots, rep.dims, theirs):
-        if len(mine) == d:
-            continue  # the whole space holds every row
-        for row in their:
-            if not linalg.in_span(F, row, mine, piv):
-                return False
-    return True
 
 
 @functools.lru_cache(maxsize=1024)
@@ -350,8 +343,9 @@ class SubmoduleLattice(Frozen):
     ints.  Consecutive members with one pivots tuple form a run; ``_runs``
     holds its ``(pivots, dims, total_dim)`` and ``_starts`` the index of its
     first member.  ``_first`` maps each dimension-vector class to the index
-    of its first member.  ``len`` counts the members, :meth:`walk` reads
-    them by index and :meth:`member` builds one as a :class:`Submodule`.
+    of its first member.  ``len`` counts the members, :meth:`walk` is the
+    one query for the members between two submodules, read by index, and
+    :meth:`member` builds one as a :class:`Submodule`.
     ``==``, ``hash`` and pickling go by the representation.
     :func:`enumerate_submodules` also checks the cap and the budget and
     shares one lattice among equal representations.
@@ -383,31 +377,31 @@ class SubmoduleLattice(Frozen):
         pivots, dims, total_dim = self._runs[bisect.bisect_right(self._starts, index) - 1]
         return _member(self.rep, self._rows(index), pivots, dims, total_dim)
 
-    def member_contains(self, index: int, sub: Submodule) -> bool:
-        """Whether the member at index contains sub, tested on rows without building the member."""
-        pivots = self._runs[bisect.bisect_right(self._starts, index) - 1][0]
-        return _contains(self.rep, self._rows(index), pivots, sub.rows)
-
-    def walk(self, step: Submodule, above: bool) -> list[tuple[DimVector, int, range | list[int]]]:
-        """One (dims, total_dim, indices) per run that has a member strictly
-        above step, or strictly inside it when above is false, in canonical
-        order; indices are those members' ascending indices.  A run whose
-        dims rule it out is skipped whole, and one whose dims settle
+    def walk(self, lower: Submodule | None = None,
+             upper: Submodule | None = None) -> list[tuple[DimVector, int, range | list[int]]]:
+        """One (dims, total_dim, indices) per run that has members M with
+        lower < M < upper, in canonical order; a missing bound bounds
+        nothing, and indices are those members' ascending indices.  A run
+        whose dims rule it out is skipped whole, and one whose dims settle
         containment at every vertex is taken whole, as a range; otherwise
-        containment is decided once per vertex and candidate index, and
-        indices lists the members that pass."""
-        F, full, sign, out = self.rep.field, self.rep.dims, 1 if above else -1, []
+        containment is decided once per vertex and candidate index, on the
+        side(s) its dims leave open there, and indices lists the members
+        that pass."""
+        F, full, out = self.rep.field, self.rep.dims, []
         positions, radix = self._positions, self._radix
-        known: list[dict] = [{} for _ in full]  # per vertex: candidate index -> contains
-        open_at: dict = {}  # per class: None when ruled out, else the vertices its dims leave open
+        low, low_total = ((0,) * len(full), -1) if lower is None else (lower.dims, lower.total_dim)
+        high, high_total = (full, self.rep.total_dim + 1) if upper is None else (upper.dims, upper.total_dim)
+        known: list[dict] = [{} for _ in full]  # per vertex: candidate index -> inside the bounds
+        open_at: dict = {}  # per class: None when ruled out, else (vertex, lower open, upper open)
         ends = self._starts[1:] + (len(self),)
         for (pivots, dims, total_dim), start, end in zip(self._runs, self._starts, ends):
             if dims not in open_at:
-                ruled_out = (total_dim - step.total_dim) * sign <= 0 or any(
-                    (d - s) * sign < 0 for d, s in zip(dims, step.dims))
-                # open unless the containing side is the whole space or the contained side is 0
+                ruled_out = not low_total < total_dim < high_total or any(
+                    not s <= d <= u for s, d, u in zip(low, dims, high))
+                # a side is open unless its containing side is the whole space or its contained side is 0
                 open_at[dims] = None if ruled_out else [
-                    v for v, (d, s, n) in enumerate(zip(dims, step.dims, full)) if (s and d < n if above else d and s < n)]
+                    (v, s and d < n, d and u < n)
+                    for v, (s, d, u, n) in enumerate(zip(low, dims, high, full)) if s and d < n or d and u < n]
             if (open_ := open_at[dims]) is None:
                 continue
             if not open_:
@@ -415,12 +409,13 @@ class SubmoduleLattice(Frozen):
                 continue
             hits = []
             for i in range(start, end):
-                for v in open_:
+                for v, low_open, high_open in open_:
                     table, s, m = radix[v]
                     if (hit := known[v].get(c := positions[i] // s % m)) is None:
                         rows = table.rows[c]
-                        hit = known[v][c] = (_maps_into(F, step.rows[v], rows, pivots[v]) if above
-                                             else _maps_into(F, rows, step.rows[v], step.pivots[v]))
+                        hit = known[v][c] = (
+                            (not low_open or _maps_into(F, lower.rows[v], rows, pivots[v]))
+                            and (not high_open or _maps_into(F, rows, upper.rows[v], upper.pivots[v])))
                     if not hit:
                         break
                 else:

@@ -215,7 +215,7 @@ def hn_filtration_max_sub(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.D
     phases: list[PhaseKey] = []
     while not chain[-1].is_full:
         A = chain[-1]
-        above = subs.walk(A, above=True)
+        above = subs.walk(A)
         # phase(C/A) is compared once per class; max keeps the first maximal class in run order
         by_class = {beta: phase(quivrep.dim_sub(beta, A.dims), Z)
                     for beta in dict.fromkeys(beta for beta, _, _ in above)}
@@ -246,20 +246,22 @@ def _mdq_kernel(current: Submodule, subs: quivrep.SubmoduleLattice, Z: CentralCh
     B; in kernel terms: phase(current/K) is minimal and K is contained
     in every kernel realizing the minimum.  Both conditions are verified
     exhaustively: K is a tied kernel of least total dimension, and every
-    other tied kernel, tested from the lattice's rows, must contain it (so
-    a second one of that dimension fails); only K is built as a Submodule.
+    other tied kernel must contain it, so the tied members strictly between
+    K and current number one fewer than the tied kernels (a second one of
+    K's dimension fails); only K is built as a Submodule.
     Failure cannot happen in a finite-length module category and is
     therefore reported as an invariant violation.
     """
-    kernels = subs.walk(current, above=False)
+    kernels = subs.walk(upper=current)
     by_class = {beta: phase(quivrep.dim_sub(current.dims, beta), Z)
                 for beta in dict.fromkeys(beta for beta, _, _ in kernels)}
     best = min(by_class.values())
     low_classes = {beta for beta, p in by_class.items() if p == best}
     tied = [(total_dim, indices) for beta, total_dim, indices in kernels if beta in low_classes]
-    first = min((total_dim, indices[0]) for total_dim, indices in tied)[1]
-    K = subs.member(first)
-    if any(index != first and not subs.member_contains(index, K) for _, indices in tied for index in indices):
+    K = subs.member(min((total_dim, indices[0]) for total_dim, indices in tied)[1])
+    count = sum(len(indices) for _, indices in tied)
+    if count > 1 and count - 1 != sum(len(indices) for beta, _, indices in subs.walk(K, current)
+                                       if beta in low_classes):
         raise InvariantViolation(
             "no maximally destabilising quotient: phase-minimal quotients do not factor through a common one"
         )

@@ -13,6 +13,8 @@ from stabkit.errors import CapExceededError, CycleError, FieldMismatchError, Sch
 from stabkit.quivrep import (
     Arrow,
     Quiver,
+    QuiverRep,
+    SubmoduleLattice,
     coordinate_submodule,
     dim_add,
     dim_sub,
@@ -112,6 +114,14 @@ def test_library_refusals_by_class_and_message(a2_reps):
     for lower, upper in ((full_submodule(P), s2), (s2, zero_submodule(P))):
         with pytest.raises(SchemaError, match="^at /submodule: the lower submodule is not contained in the upper one$"):
             subquotient(P, lower, upper)
+    # the constructor's own checks, in the order it makes them
+    for dims, maps, message in (((1,), (), r"/dims: expected 2 entries, got 1"),
+                                ((1, -1), ((),), r"/dims: dimensions must be non-negative"),
+                                ((1, 1), (), r"/maps: expected 1 matrices"),
+                                ((1, 1), (((1, 1),),), r"/maps/a: matrix must be 1x1 for arrow 1->2"),
+                                ((1, 2), (((1,),),), r"/maps/a: matrix must be 2x1 for arrow 1->2")):
+        with pytest.raises(SchemaError, match=f"^at {message}$"):
+            QuiverRep(A2, F2, dims, maps)
 
 
 def test_euler_form_examples():
@@ -259,13 +269,14 @@ def test_submodule_stores_shared_dims():
 
 
 @pytest.mark.parametrize("quiver, dims", [(A2, (0, 3)), (A2, (1, 3)), (A3, (1, 1, 2)), (KRONECKER, (1, 2)),
-                                         (A2, (3, 0)), (A3, (2, 0, 2)), (KRONECKER, (0, 2))])
+                                         (A2, (3, 0)), (A3, (2, 0, 2)), (KRONECKER, (0, 2)), (A2, (2, 3))])
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
 def test_member_loop_against_span_closure(quiver, dims, field):
     # shapes whose last vertex carries most of the dimension, so most
     # members come out of the flat loop over the last vertex; all-zero
     # maps (trial 0, and the first arrow in trial 4) and arrows with a
-    # dimension-0 endpoint constrain nothing
+    # dimension-0 endpoint constrain nothing; (2, 3) is the one shape that
+    # has more than 60 members, where the walk between two bounds is sampled
     rng = random.Random(f"{dims}/{field}")
     index = [{rows: i for i, rows in enumerate(linalg.subspaces(field.p, d).rows)} for d in dims]
     for trial in range(5):
@@ -290,22 +301,42 @@ def test_member_loop_against_span_closure(quiver, dims, field):
             first.setdefault(s.dims, i)
         assert list(lattice.classes()) == list(first.items())
         assert lattice.member(-1) == subs[-1] and subs[-1].is_full
-        # the walk: each member strictly above or strictly inside a step, by index, one entry
-        # per run (consecutive members with one pivots tuple) that has any, carrying its class
+        # the walk: each member M with lower < M < upper, by index, one entry per run
+        # (consecutive members with one pivots tuple) that has any, carrying its class
         run_of = list(accumulate((s.pivots != t.pivots for t, s in zip(subs, subs[1:])), initial=0))
-        for step in subs:
-            for above in (True, False):
-                want = [(C.dims, C.total_dim, i) for i, C in enumerate(subs)
-                        if (C.total_dim > step.total_dim and C.contains(step) if above
-                            else C.total_dim < step.total_dim and step.contains(C))]
-                runs = lattice.walk(step, above)
-                assert [(beta, total, i) for beta, total, indices in runs for i in indices] == want
-                assert len({run_of[indices[0]] for _, _, indices in runs}) == len(runs)
-                for beta, total, indices in runs:
-                    assert len({run_of[i] for i in indices}) == 1
-                    assert all((subs[i].dims, subs[i].total_dim) == (beta, total) for i in indices)
-                    if type(indices) is range:  # a run taken whole
-                        assert list(indices) == [i for i in range(len(subs)) if run_of[i] == run_of[indices[0]]]
+        # inside[a][i]: member a lies strictly inside member i
+        inside = [[A.total_dim < C.total_dim and C.contains(A) for C in subs] for A in subs]
+
+        def check(runs, want):
+            assert [(beta, total, i) for beta, total, indices in runs for i in indices] == want
+            assert len({run_of[indices[0]] for _, _, indices in runs}) == len(runs)
+            for beta, total, indices in runs:
+                assert len({run_of[i] for i in indices}) == 1
+                assert all((subs[i].dims, subs[i].total_dim) == (beta, total) for i in indices)
+                if type(indices) is range:  # a run taken whole
+                    assert list(indices) == [i for i in range(len(subs)) if run_of[i] == run_of[indices[0]]]
+
+        every = [(C.dims, C.total_dim, i) for i, C in enumerate(subs)]
+        runs = lattice.walk()
+        check(runs, every)
+        assert all(type(indices) is range for _, _, indices in runs)
+        for a, step in enumerate(subs):
+            check(lattice.walk(step), [w for w, holds in zip(every, inside[a]) if holds])
+            check(lattice.walk(upper=step), [w for w, row in zip(every, inside) if row[a]])
+        pairs = [(a, b) for a in range(len(subs)) for b in range(len(subs)) if inside[a][b]]
+        if len(subs) > 60:
+            pairs = rng.sample(pairs, min(300, len(pairs)))
+        for a, b in pairs:
+            check(lattice.walk(subs[a], subs[b]), [w for w, row in zip(every, inside) if inside[a][w[2]] and row[b]])
+
+
+def test_lattice_has_one_query():
+    # "which members lie between two submodules" has one answer, walk; a
+    # second query beside it would be a second code path for one concept
+    names = {name for name in dir(SubmoduleLattice) if not name.startswith("_")}
+    names |= {name for name, value in vars(SubmoduleLattice).items()
+              if name.startswith("__") and callable(value) and name != "__init__"}
+    assert names == {"rep", "classes", "member", "walk", "__len__"}
 
 
 def test_against_independent_enumerator():

@@ -637,6 +637,8 @@ POINTER_REFUSALS = [
      "at /paths/path1/pairs/0: a pair is two integer vectors of length 2"),
     ("unknown top-level field", lambda doc: doc.update(notes="x", Extra=1), "SchemaError",
      "at /: unknown top-level fields ['Extra', 'notes']"),
+    ("bad rational literal", lambda doc: doc.update(D=2) or doc["charges"]["Zstd"]["z"][0].update(re={"a": 1.5}),
+     "SchemaError", "at /charges/Zstd/z/0/re/a: bad rational literal 1.5"),
 ]
 
 

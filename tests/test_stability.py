@@ -444,6 +444,36 @@ def test_mdq_refuses_tied_kernels_without_a_common_one(monkeypatch):
         hn_filtration_mdq(rep(A2, F2, (1, 1)), charge((-1, 1), (1, 1)), validate=False)
 
 
+def test_max_sub_refuses_a_tied_maximal_subobject(monkeypatch):
+    # Phases rigged so that S1 and S2 both beat SS = S1 + S2: two
+    # maximal-phase subobjects of dimension 1, so the route must refuse.
+    from stabkit import stability
+
+    low, high = PhaseKey(0, ec(1, 1)), PhaseKey(0, ec(0, 1))
+    monkeypatch.setattr(stability, "phase", lambda beta, Z: low if tuple(beta) == (1, 1) else high)
+    with pytest.raises(InvariantViolation, match="^maximal-phase subobject of maximal dimension is not unique; "
+                                                 "2 candidates of dimension 1$"):
+        hn_filtration_max_sub(rep(A2, F2, (1, 1)), charge((-1, 1), (1, 1)), validate=False)
+
+
+def test_filtration_refuses_a_broken_chain():
+    # direct construction, one invariant broken at a time: SS = S1 + S2 with
+    # the chain 0 < S2 < SS and the factors S2, S1 is a filtration
+    SS = rep(A2, F2, (1, 1))
+    S1, S2 = rep(A2, F2, (1, 0)), rep(A2, F2, (0, 1))
+    sub = {s.dims: s for s in members(enumerate_submodules(SS))}
+    zero, s1, s2, full = sub[0, 0], sub[1, 0], sub[0, 1], sub[1, 1]
+    low, high = PhaseKey(0, ec(1, 1)), PhaseKey(0, ec(0, 1))
+    for chain, factors, phases, message in (
+            ((zero, s2, full), (S2, S1), (low, high), "filtration phases are not strictly descending"),
+            ((zero, s2, full), (S2, S1), (high, high), "filtration phases are not strictly descending"),
+            ((zero, s2, full), (S2, S2), (high, low), "factor dimension vectors do not sum to the total"),
+            ((s2, s1), (S2, S1), (high, low), "filtration chain is not ascending")):
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            HNFiltration(SS, chain, factors, phases)
+    assert HNFiltration(SS, (zero, s2, full), (S2, S1), (high, low)).length == 2
+
+
 # --- reference: the separate rational certificate the merged one replaces ---
 
 
