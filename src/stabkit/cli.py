@@ -158,26 +158,27 @@ def cmd_walls(doc: SessionDocument, args) -> dict:
             row["orderings"][f"{list(alpha)} vs {list(beta)}"] = ("below", "aligned", "above")[c + 1]
         return row
 
-    rows_by_sample = {t: sample_row(t) for t in samples}
+    rows = [sample_row(t) for t in samples]
     events = []
+    below = 0  # samples below the event: both lists ascend and no sample is a root
     for e in report.events:
-        left = [t for t in samples if stabspace.cmp_roots(t, e.t_exact) < 0]
-        right = [t for t in samples if stabspace.cmp_roots(t, e.t_exact) > 0]
+        while below < len(samples) and stabspace.cmp_roots(samples[below], e.t_exact) < 0:
+            below += 1
         events.append({
             "t_exact": _root_json(e.t_exact),
             "t_float": e.t_float,
             "type": "phase-alignment",
             "pair": [list(e.alpha), list(e.beta)],
             "flip_evidence": {
-                "left": rows_by_sample[left[-1]] if left else None,
-                "right": rows_by_sample[right[0]] if right else None,
+                "left": rows[below - 1] if below else None,
+                "right": rows[below] if below < len(samples) else None,
             },
         })
     return {
         "path": args.path,
         "events": events,
         "degenerate_pairs": [[list(a), list(b)] for a, b in report.degenerate_pairs],
-        "chamber_samples": [rows_by_sample[t] for t in samples],
+        "chamber_samples": rows,
         "csv_rows": [("t_float", "alpha", "beta")] + [
             (e.t_float, "/".join(map(str, e.alpha)), "/".join(map(str, e.beta))) for e in report.events
         ],

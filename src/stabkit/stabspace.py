@@ -92,7 +92,7 @@ class GLtildeElement(Frozen):
     """Element of the universal cover of the positive-determinant plane
     group: a rational matrix plus an integer branch index."""
 
-    __slots__ = ("T", "m")
+    __slots__ = ("T", "m", "_t_inv", "_reference", "_anchor")
 
     def __init__(self, T: Mat2, m: int = 0):
         object.__setattr__(self, "T", T)
@@ -101,6 +101,10 @@ class GLtildeElement(Frozen):
             raise OrientationError(
                 f"plane action requires det > 0, got det = {mat2_det(T)}"
             )
+        # T^{-1}, the reference direction T^{-1}(i) and its anchor, once per element
+        object.__setattr__(self, "_t_inv", mat2_inv(T))
+        object.__setattr__(self, "_reference", mat2_apply(self._t_inv, EC_I))
+        object.__setattr__(self, "_anchor", phase_key_anchor(self._reference, m))
 
     @classmethod
     def identity(cls) -> "GLtildeElement":
@@ -117,13 +121,13 @@ class GLtildeElement(Frozen):
         return self.m == 0 and self.T == MAT2_ID
 
     def t_inv(self) -> Mat2:
-        return mat2_inv(self.T)
+        return self._t_inv
 
     def transform_charge(self, z: ExactComplex) -> ExactComplex:
-        return mat2_apply(self.t_inv(), z)
+        return mat2_apply(self._t_inv, z)
 
     def anchor_key(self) -> PhaseKey:
-        return phase_key_anchor(mat2_apply(self.t_inv(), EC_I), self.m)
+        return self._anchor
 
     def relabel(self, p: PhaseKey) -> PhaseKey:
         """New phase of an object whose old phase is p, exactly; the
@@ -138,11 +142,9 @@ class GLtildeElement(Frozen):
         and compatible with the shift by construction.  For the identity
         the phase is p's, but a direction along i comes back as i itself.
         """
-        t_inv = self.t_inv()
-        reference = mat2_apply(t_inv, EC_I)
         vec = p.dir if p.k % 2 == 0 else -p.dir
-        disp = ccw_displacement(reference, mat2_apply(t_inv, vec))
-        return phase_key_anchor(reference, self.m).plus(disp).shift(2 * p.window_index())
+        disp = ccw_displacement(self._reference, mat2_apply(self._t_inv, vec))
+        return self._anchor.plus(disp).shift(2 * p.window_index())
 
 
 def mul_sequential(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:
@@ -259,12 +261,14 @@ _PI_LO = Fraction(31415926535897932384626433832795028841, 10 ** 37)
 _PI_HI = Fraction(31415926535897932384626433832795028842, 10 ** 37)
 
 
+@functools.lru_cache(maxsize=64)
 def sin_pi_eps_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on sin(pi * eps) for eps in (0, 1/8).
 
     Taylor partial sums at rational brackets of pi*eps with an explicit
     alternating-series remainder; the bracket width is far below 2**-30,
-    so accept/reject decisions never ride on float rounding.
+    so accept/reject decisions never ride on float rounding.  Memoised
+    per eps (a refusal is raised on every call).
     """
     if not (0 < eps < Fraction(1, 8)):
         raise StabkitError(f"epsilon must lie in (0, 1/8), got {eps}")
@@ -320,14 +324,15 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
     W = CentralCharge(w_values)
     Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
+    lo2, hi2, mid = s_lo * s_lo, s_hi * s_hi, float((s_lo + s_hi) / 2)
 
     def margin(where: str, alpha: DimVector) -> float:
         z = Z.of(alpha)
         u = W.of(alpha) - z
         u2 = u.abs_squared()
         z2 = z.abs_squared()
-        if sign_of(s_lo * s_lo * z2 - u2) <= 0:
-            if sign_of(u2 - s_hi * s_hi * z2) >= 0:
+        if sign_of(lo2 * z2 - u2) <= 0:
+            if sign_of(u2 - hi2 * z2) >= 0:
                 raise HypothesisViolatedError(
                     f"deformation hypothesis fails on {where}: |W-Z| exceeds sin(pi*eps)|Z|"
                 )
@@ -335,7 +340,7 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
                 f"deformation hypothesis is within the certified rounding band on {where}; "
                 "rejected conservatively"
             )
-        return _float_sqrt_scalar(z2) * float((s_lo + s_hi) / 2) - _float_sqrt_scalar(u2)
+        return _float_sqrt_scalar(z2) * mid - _float_sqrt_scalar(u2)
 
     # one row per semistable object; the other objects' factors are checked
     # after them all (a shift only flips the sign of both charges)
@@ -503,10 +508,11 @@ def find_walls(path: ChargePath, pairs: list[tuple[DimVector, DimVector]]) -> Wa
     """
     events = []
     degenerate = []
+    of_class = functools.cache(path.of_class)  # auto pairs repeat the tracked total class
     for alpha, beta in pairs:
         check_wall_pair(alpha, beta)
-        A, B = path.of_class(alpha)
-        C, D = path.of_class(beta)
+        A, B = of_class(alpha)
+        C, D = of_class(beta)
         q0 = cross(A, C)
         q1 = cross(A, D) + cross(B, C)
         q2 = cross(B, D)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit.errors import UnsupportedScalarError
+from stabkit import exactnum
 from stabkit.exactnum import (
+    EC_I,
     SPLIT_BUDGET,
     ExactComplex,
     PhaseKey,
@@ -97,6 +99,30 @@ def test_squarefree_split_refuses_beyond_the_budget():
     # the discriminant of t**2 - N/4 is N itself
     with pytest.raises(UnsupportedScalarError, match="trial divisors above"):
         solve_alignment(Fraction(-p * q * r, 4), Fraction(0), Fraction(1))
+
+
+def test_library_refusals_by_class_and_message():
+    r2, r3, zero = QuadScalar(1, 1, 2), QuadScalar(1, 1, 3), ec(0, 0)
+    for mixed in (lambda: r2 + r3, lambda: r2 * r3):
+        with pytest.raises(UnsupportedScalarError, match=r"^mixed quadratic extensions sqrt\(2\) and sqrt\(3\)$"):
+            mixed()
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero quadratic scalar$"):
+        QuadScalar(0, 0, 2).inverse()
+    # sqrt_bounds checks the sign first, so the helper's guard is reached only directly
+    for negative in (lambda: sqrt_bounds(Fraction(-1)), lambda: sqrt_bounds(QuadScalar(1, -1, 2)),
+                     lambda: exactnum._sqrt_bounds_fraction(Fraction(-1), 10)):
+        with pytest.raises(ValueError, match="^sqrt of negative value$"):
+            negative()
+    for direction in ((1, 0), (1, -1)):
+        with pytest.raises(ValueError, match=rf"^phase direction \({direction[0]} \+ {direction[1]}i\) not in \(0, pi\] convention$"):
+            PhaseKey(0, ec(*direction))
+    with pytest.raises(ValueError, match="^no phase for the zero vector$"):
+        normalize_direction(zero)
+    for d1, d2 in ((zero, EC_I), (EC_I, zero)):
+        with pytest.raises(ValueError, match="^displacement of a zero vector$"):
+            ccw_displacement(d1, d2)
+    with pytest.raises(ValueError, match="^anchor direction must be nonzero$"):
+        phase_key_anchor(zero, 0)
 
 
 def test_solve_alignment_splits_numerator_and_denominator_apart():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stabkit import cli
+from stabkit import cli, stabspace
 from stabkit.errors import CycleError, InvariantViolation, SchemaError, StabkitError
 from stabkit.exactnum import QuadScalar
 from stabkit.quivrep import enumerate_submodules
@@ -241,6 +241,56 @@ def test_cli_walls_explain_every_verdict_flip(tmp_path):
                     assert any(total == dims and cmp_roots(lo, t) < 0 < cmp_roots(hi, t) for t, total in events), \
                         (i, name, rep, left["t"], right["t"])
     assert flips >= 80  # 86 at this seed: the check is not vacuous
+
+
+def _z(*pairs):
+    return {"z": [{"re": str(re), "im": str(im)} for re, im in pairs]}
+
+
+def test_cli_walls_places_events_in_one_sweep(tmp_path, monkeypatch):
+    classes = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1])
+    pairs = [[a, b] for i, a in enumerate(classes) for b in classes[i + 1:]]
+    doc = {
+        "quiver": {"vertices": 3, "arrows": [{"name": "a", "src": 1, "tgt": 2}, {"name": "b", "src": 2, "tgt": 3}]},
+        "field": "F2",
+        "reps": {"P": {"dims": [1, 1, 1], "maps": {"a": [[1]], "b": [[1]]}}},
+        "charges": {"Z0": _z((-2, 1), (1, 2), (1, 1)), "Z1": _z((3, 1), (-1, 1), (-2, 3)),
+                    "Za": _z((-1, 1), (1, 1), (1, 1)), "Zb": _z((2, 1), (-1, 1), (2, 1))},
+        # p: irrational walls in three extensions; q: walls at both ends
+        "paths": {"p": {"from": "Z0", "to": "Z1", "track": ["P"], "pairs": pairs},
+                  "q": {"from": "Za", "to": "Zb", "track": ["P"], "pairs": pairs}},
+    }
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps(doc))
+    real, calls = stabspace.cmp_roots, []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(stabspace, "cmp_roots", counting)
+    session = parse_session(path.read_text())
+    for name, events_want, samples_want in (("p", 18, 9), ("q", 12, 4)):
+        calls.clear()
+        spec, charge_path = session.path(name)
+        stabspace.chamber_samples(stabspace.find_walls(charge_path, list(spec.pairs)).events)
+        alone = len(calls)
+        calls.clear()
+        code, text = run_cli("--input", str(path), "walls", name)
+        assert code == 0, text
+        result = json.loads(text)["result"]
+        events, rows = result["events"], result["chamber_samples"]
+        ts = [_root_value(e["t_exact"]) for e in events]
+        samples = [Fraction(row["t"]) for row in rows]
+        assert (len(events), len(samples)) == (events_want, samples_want)
+        assert sum(real(s, t) == 0 for s, t in zip(ts, ts[1:])) >= 2  # pairs that align at one t
+        assert len(calls) - alone <= len(events) + len(samples)
+        for event, t in zip(events, ts):  # the two-scan placement
+            left = [row for s, row in zip(samples, rows) if real(s, t) < 0]
+            right = [row for s, row in zip(samples, rows) if real(s, t) > 0]
+            assert event["flip_evidence"] == {"left": left[-1] if left else None,
+                                              "right": right[0] if right else None}
+        assert any(None in e["flip_evidence"].values() for e in events) == (name == "q")
 
 
 def test_cli_validate_all(fixture_path):

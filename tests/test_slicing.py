@@ -198,6 +198,20 @@ def test_formal_complex_accepts_equal_quivers_built_apart(a2_reps, z_std):
         FormalComplex(((1, a2_reps["S1"]), (0, rep(A2, F3, (0, 1)))))
 
 
+def test_library_refusals_by_class_and_message(a2_reps, z_std):
+    zero = rep(A2, F2, (0, 0))
+    for parts, k in ((((0, zero),), 0), (((2, a2_reps["S1"]), (1, zero)), 1)):
+        with pytest.raises(ZeroObjectError, match=f"^zero representation stored at shift {k}$"):
+            FormalComplex(parts)
+    with pytest.raises(ZeroObjectError, match="^zero object has no interesting class here$"):
+        FormalComplex(()).class_vector()
+    sigma = handle(z_std)
+    with pytest.raises(ZeroObjectError, match="^slicing distance needs a nonempty testset$"):
+        slicing_distance(sigma, sigma, ())
+    with pytest.raises(ZeroObjectError, match="^containment check needs a nonempty testset$"):
+        containment_check(sigma, sigma, Fraction(1, 10), ())
+
+
 def test_decompose_refuses_an_object_over_another_heart(a2_reps, z_std):
     over_f3 = fc0(rep(A2, F3, (1, 1), {"a": [[1]]}))
     with pytest.raises(FieldMismatchError):

@@ -6,7 +6,14 @@ from itertools import product
 
 import pytest
 
-from stabkit.errors import InvariantViolation, UnsupportedVerdictError, ZeroClassError, ZeroObjectError
+from stabkit.errors import (
+    InvariantViolation,
+    StabilityFunctionError,
+    UnsupportedScalarError,
+    UnsupportedVerdictError,
+    ZeroClassError,
+    ZeroObjectError,
+)
 from stabkit import linalg
 from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar
 from stabkit.quivrep import (
@@ -197,6 +204,16 @@ def test_rational_route_semistable(a2_reps):
     assert cert.is_semistable
     cert2 = is_semistable(p_q, charge((1, 1), (-1, 1)))
     assert cert2.verdict == "unstable" and cert2.witness.dims == (0, 1)
+
+
+def test_library_refusals_by_class_and_message():
+    with pytest.raises(StabilityFunctionError, match="^charge needs at least one value$"):
+        CentralCharge(())
+    r2, r3 = QuadScalar(0, 1, 2), QuadScalar(1, 1, 3)
+    with pytest.raises(UnsupportedScalarError, match=r"^charge mixes quadratic extensions \[2, 3\]$"):
+        CentralCharge((ExactComplex(r2, Fraction(1)), ExactComplex(Fraction(0), r3)))
+    with pytest.raises(ZeroObjectError, match="^semistability is undefined for the zero representation$"):
+        is_semistable(zero_rep(A2, F2), charge((-1, 1), (1, 1)))
 
 
 def test_rational_route_refusal():

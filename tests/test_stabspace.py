@@ -14,7 +14,15 @@ from stabkit.errors import (
     StabkitError,
     ZeroObjectError,
 )
-from stabkit.exactnum import ExactComplex, PhaseKey, QuadScalar, normalize_direction, root_bounds
+from stabkit.exactnum import (
+    EC_I,
+    ExactComplex,
+    PhaseKey,
+    QuadScalar,
+    normalize_direction,
+    phase_key_anchor,
+    root_bounds,
+)
 from stabkit.slicing import FormalComplex, containment_check, hn_decompose, slicing_distance
 from stabkit.stability import CentralCharge, is_semistable
 from stabkit.stabspace import (
@@ -174,14 +182,22 @@ def test_anchored_inverts_the_matrix_once(monkeypatch):
         calls.append(T)
         return real(T)
 
-    g = GLtildeElement(mat2(2, 1, -1, 3), 1)
+    T = mat2(2, 1, -1, 3)
     phases = [normalize_direction(ec(x, y)).shift(k) for x, y in ((1, 2), (-3, 1), (0, 1)) for k in (-1, 0, 2)]
-    expected = [g.anchored(p) for p in phases]
+    expected = [GLtildeElement(T, 1).anchored(p) for p in phases]
     monkeypatch.setattr(stabspace, "mat2_inv", counting)
+    g = GLtildeElement(T, 1)
+    assert calls == [T]  # the constructor inverts once
+    calls.clear()
     for p, want in zip(phases, expected):
-        calls.clear()
         assert g.anchored(p) == want
-        assert calls == [g.T]
+    t_inv = real(T)
+    assert g.t_inv() == t_inv
+    assert g.anchor_key() == phase_key_anchor(stabspace.mat2_apply(t_inv, EC_I), 1)
+    assert g.transform_charge(ec(3, 2)) == stabspace.mat2_apply(t_inv, ec(3, 2))
+    assert calls == []  # the element's queries read the stored inverse
+    # the stored inverse and anchor stay out of the value: pickling carries (T, m) only
+    assert g.__reduce__() == (GLtildeElement, (T, 1))
 
 
 def test_action_composition_compatibility_random(a2_reps, z_std):
@@ -246,6 +262,17 @@ def test_sin_bounds_sane():
         sin_pi_eps_bounds(Fraction(1, 8))
     with pytest.raises(StabkitError):
         sin_pi_eps_bounds(Fraction(0))
+
+
+def test_sin_bounds_are_memoised_per_eps():
+    first = sin_pi_eps_bounds(Fraction(1, 10))
+    assert sin_pi_eps_bounds(Fraction(2, 20)) is first
+    assert sin_pi_eps_bounds.__wrapped__(Fraction(1, 10)) == first  # the memo keeps the exact values
+    size = sin_pi_eps_bounds.cache_info().currsize
+    for eps in (Fraction(0), Fraction(1, 8)) * 2:  # a refusal is raised on every call
+        with pytest.raises(StabkitError, match=rf"^epsilon must lie in \(0, 1/8\), got {eps}$"):
+            sin_pi_eps_bounds(eps)
+    assert sin_pi_eps_bounds.cache_info().currsize == size
 
 
 def test_deform_identity(a2_reps, z_std):
@@ -393,6 +420,26 @@ def test_find_walls_proportional_rejected(z_std):
         find_walls(path, [((1, 1), (2, 2))])
     with pytest.raises(ProportionalPairError):
         find_walls(path, [((0, 0), (1, 0))])
+
+
+def test_find_walls_reads_each_class_charge_once_per_call(monkeypatch):
+    real, calls = ChargePath.of_class, []
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return real(self, alpha)
+
+    path = ChargePath(charge((-1, 1), (1, 1), (1, 1)), charge((2, 1), (-1, 1), (2, 1)))
+    # auto pairs repeat the total class in every pair
+    pairs = [(beta, (1, 1, 1)) for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))]
+    pairs.append(((1, 0, 0), (0, 1, 0)))
+    expected = find_walls(path, pairs)
+    monkeypatch.setattr(ChargePath, "of_class", counting)
+    for _ in range(2):  # the memo is local to the call
+        calls.clear()
+        assert find_walls(path, pairs) == expected
+        assert sorted(calls) == sorted({c for pair in pairs for c in pair})
+    assert len(expected.events) == 4
 
 
 def test_find_walls_quadratic_root():
