@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import ellcurve, quivrep, slicing, stability, stabspace
 from .errors import InvariantViolation, StabkitError
-from .exactnum import PhaseKey, QuadScalar, parse_rational
+from .exactnum import MAX_LITERAL, PhaseKey, QuadScalar, in_strict_upper_half, parse_rational
 from .quivrep import DimVector
 from .session import SessionDocument, fmt_entry, fmt_exact_complex, parse_session
 from .stabspace import GLtildeElement, StabilityConditionHandle, mat2
@@ -59,6 +59,17 @@ def _parse_matrix(text: str):
         raise StabkitError(f"--matrix expects 'a,b,c,d', got {text!r}")
     a, b, c, d = (parse_rational(p.strip()) for p in parts)
     return mat2(a, b, c, d)
+
+
+def _branch(text: str) -> int:
+    """A --branch index, bounded like a session literal: its phases stay finite floats."""
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(m) > MAX_LITERAL:
+        raise argparse.ArgumentTypeError(f"branch index is out of range: its magnitude must be at most {MAX_LITERAL}")
+    return m
 
 
 def cmd_hn(doc: SessionDocument, args) -> dict:
@@ -202,7 +213,7 @@ def cmd_deform(doc: SessionDocument, args) -> dict:
     testset = doc.testset(args.testset)
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
     eps = parse_rational(args.eps)
-    tau, report = stabspace.deform(sigma, W.values, eps, testset, args.cap)
+    tau, report = stabspace.deform(sigma, W, eps, testset, args.cap)
     conclusion, csv_rows = _drift_table(report.drifts)
     return {
         "charge": args.charge,
@@ -244,9 +255,10 @@ def cmd_glact(doc: SessionDocument, args) -> dict:
     g = GLtildeElement(_parse_matrix(args.matrix), args.branch)
     sigma = StabilityConditionHandle(doc.quiver, doc.field, Z)
     sigma2, relabeled = stabspace.gl_act(sigma, g, testset, args.cap)
+    new_charge = sigma2.charge2d()
     invariance = None
-    if sigma2.heart_compatible:
-        Z2 = sigma2.as_central_charge()
+    if heart_compatible := all(map(in_strict_upper_half, new_charge)):  # no tilting needed
+        Z2 = stability.CentralCharge(new_charge)
         invariance = []
         for label, fc in testset:
             if len(fc.parts) == 1 and fc.parts[0][0] == 0 and doc.field.is_finite:
@@ -257,8 +269,8 @@ def cmd_glact(doc: SessionDocument, args) -> dict:
         "charge": args.charge,
         "matrix": args.matrix,
         "branch": args.branch,
-        "new_charge": [fmt_exact_complex(z) for z in sigma2.charge2d()],
-        "heart_compatible": sigma2.heart_compatible,
+        "new_charge": [fmt_exact_complex(z) for z in new_charge],
+        "heart_compatible": heart_compatible,
         "relabeled": [{"object": label, "phase": fmt_phase_key(key)} for label, key in relabeled],
         "verdict_invariance": invariance,
         "csv_rows": [("object", "float_phase")] + [(label, key.float_value()) for label, key in relabeled],
@@ -365,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glact", help="plane action on a stability condition")
     p.add_argument("charge")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--branch", type=int, default=0)
+    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("--testset", required=True)
 
     p = sub.add_parser("discrete", help="charge-image discreteness")

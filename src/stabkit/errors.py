@@ -68,10 +68,6 @@ class HypothesisViolatedError(StabkitError):
     rounding band and the request is rejected conservatively."""
 
 
-class HeartChangeUnsupportedError(StabkitError):
-    """Perturbed charge leaves the half-plane; tilting is unsupported."""
-
-
 class DegenerateChargeError(StabkitError):
     """Numerical charge matrix is singular."""
 

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from . import quivrep, slicing, stability
 from .errors import (
-    HeartChangeUnsupportedError,
     HypothesisViolatedError,
     InvariantViolation,
     OrientationError,
@@ -36,7 +35,6 @@ from .exactnum import (
     ccw_displacement,
     cross,
     cross_sign,
-    in_strict_upper_half,
     phase_diff_float,
     phase_key_anchor,
     root_bounds,
@@ -193,15 +191,6 @@ class StabilityConditionHandle(Frozen):
     def charge_of(self, alpha: DimVector) -> ExactComplex:
         return self.g.transform_charge(self.charge.of(alpha))
 
-    @property
-    def heart_compatible(self) -> bool:
-        """True when the transformed charge is again a half-plane charge
-        on the same heart (no tilting needed)."""
-        return all(in_strict_upper_half(z) for z in self.charge2d())
-
-    def as_central_charge(self) -> CentralCharge:
-        return CentralCharge(self.charge2d())
-
     def semistable_phase(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> PhaseKey | None:
         factors = slicing.hn_decompose(fc, self, cap)
         return factors[0].key if len(factors) == 1 else None
@@ -218,8 +207,10 @@ def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
     """
     sigma2 = StabilityConditionHandle(sigma.quiver, sigma.field, sigma.charge,
                                       mul_sequential(sigma.g, g))
-    relabeled = [(label, sigma2.semistable_phase(fc, cap)) for label, fc in testset
-                 if sigma.semistable_phase(fc, cap) is not None]
+    # sigma2 has sigma's charge and so its semistables: one decomposition per object
+    plain = StabilityConditionHandle(sigma.quiver, sigma.field, sigma.charge)
+    relabeled = [(label, sigma2.g.relabel(factors[0].key)) for label, fc in testset
+                 if len(factors := slicing.hn_decompose(fc, plain, cap)) == 1]
     return sigma2, relabeled
 
 
@@ -300,11 +291,12 @@ class DeformReport(NamedTuple):
     distance: float
 
 
-def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
+def deform(sigma: StabilityConditionHandle, W: CentralCharge,
            eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP):
-    """Heart-preserving charge deformation with a verified conclusion.
+    """Heart-preserving deformation to W with a verified conclusion.
 
-    Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every sigma-HN
+    The deformed handle is built over W, so it shares W's filtration
+    memo.  Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every sigma-HN
     factor E of every testset object, decided through exact
     squared-modulus comparisons against certified sin bounds (borderline
     rejected with a flag).  Returns the deformed handle plus a report
@@ -315,13 +307,6 @@ def deform(sigma: StabilityConditionHandle, w_values: tuple[ExactComplex, ...],
         raise StabkitError("deform expects an unacted handle; apply the plane action afterwards")
     if not testset:
         raise ZeroObjectError("deform needs a nonempty testset")
-    for i, z in enumerate(w_values):
-        if not in_strict_upper_half(z):
-            raise HeartChangeUnsupportedError(
-                f"perturbed charge value {i + 1} = {z!r} leaves the upper half-plane; "
-                "heart-changing deformations are not supported"
-            )
-    W = CentralCharge(w_values)
     Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
     lo2, hi2, mid = s_lo * s_lo, s_hi * s_hi, float((s_lo + s_hi) / 2)

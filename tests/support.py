@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from stabkit.exactnum import ExactComplex
+from stabkit.exactnum import ExactComplex, in_strict_upper_half
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import (
     Arrow,
@@ -57,6 +57,13 @@ def ec(re, im) -> ExactComplex:
 
 def charge(*pairs) -> CentralCharge:
     return CentralCharge(tuple(ec(re, im) for re, im in pairs))
+
+
+def heart_charge(S) -> CentralCharge | None:
+    """A handle's transformed charge as a half-plane charge on the same
+    heart, or None when one of its values leaves the half-plane."""
+    values = S.charge2d()
+    return CentralCharge(values) if all(map(in_strict_upper_half, values)) else None
 
 
 def rep(quiver: Quiver, field, dims, maps_by_name=None) -> QuiverRep:

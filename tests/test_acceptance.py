@@ -41,7 +41,7 @@ from stabkit.stabspace import (
     stab_distance,
 )
 
-from support import A2, F2, charge, ec, instance_stream, labelled, members, random_charge, simple_rep
+from support import A2, F2, charge, ec, heart_charge, instance_stream, labelled, members, random_charge, simple_rep
 
 TOL_MASS = 2.0 ** -30
 TOL_LOG = 1e-12
@@ -216,7 +216,7 @@ def test_c6_deformation_shadow(a2_reps):
                 w = _perturb(rng, Z, Fraction(1, 1))
                 while True:
                     try:
-                        tau, report = deform(sigma, w, eps, testset)
+                        tau, report = deform(sigma, CentralCharge(w), eps, testset)
                         break
                     except HypothesisViolatedError:
                         w = tuple(
@@ -254,19 +254,19 @@ def test_c7_plane_action_laws(a2_reps, z_std):
         assert attempts < 20000
         g1, g2 = _random_element(rng), _random_element(rng)
         mid, _ = gl_act(sigma, g2, testset)
-        if not mid.heart_compatible:
+        if heart_charge(mid) is None:
             continue
         seq, rel_seq = gl_act(mid, g1, testset)
         cmp_handle, rel_cmp = gl_act(sigma, mul_sequential(g2, g1), testset)
         assert seq.charge2d() == cmp_handle.charge2d()
         assert seq.g.T == cmp_handle.g.T and seq.g.m == cmp_handle.g.m
         assert rel_seq == rel_cmp
-        Zmid = mid.as_central_charge()
+        Zmid = heart_charge(mid)
         for name in reps:
             assert is_semistable(a2_reps[name], Zmid).verdict == \
                 is_semistable(a2_reps[name], z_std).verdict
-        if seq.heart_compatible:
-            Zseq = seq.as_central_charge()
+        if heart_charge(seq) is not None:
+            Zseq = heart_charge(seq)
             for name in reps:
                 assert is_semistable(a2_reps[name], Zseq).verdict == \
                     is_semistable(a2_reps[name], z_std).verdict

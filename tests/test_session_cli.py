@@ -77,6 +77,18 @@ def test_round_trip_idempotent(fixture_path):
     assert once == twice
 
 
+def test_canonical_form_refuses_a_complex_over_an_undeclared_rep(fixture_path):
+    from stabkit.errors import UnknownNameError
+    from stabkit.session import SessionDocument
+
+    doc = parse_session(fixture_path.read_text())
+    reps = {name: r for name, r in doc.reps.items() if name != "S1"}  # the complex PS has S1 in degree 1
+    built = SessionDocument(doc.quiver, doc.field, doc.quad_d, reps, doc.charges, doc.complexes,
+                            doc.testsets, doc.paths)
+    with pytest.raises(UnknownNameError, match="^complex references an undeclared representation$"):
+        built.to_canonical()
+
+
 def test_standalone_charge_document():
     from stabkit.session import parse_charge_document
 
@@ -329,6 +341,41 @@ def test_cli_glact(fixture_path):
     assert phases["P"] == 0.5
 
 
+def test_cli_deform_reads_the_session_charge_memo(fixture_path, monkeypatch):
+    from stabkit import stability
+
+    argv = ("--input", str(fixture_path), "deform", "Zstd", "Zpert", "--eps", "1/20", "--testset", "wide")
+    expected = run_cli(*argv)
+    assert expected[0] == 0
+    real, calls = stability.hn_filtration_max_sub, []
+
+    def counting(rep, Z, *args, **kwargs):
+        calls.append(Z)
+        return real(rep, Z, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "hn_filtration_max_sub", counting)
+    assert run_cli(*argv) == expected
+    assert calls == []  # both sides read the memos of the session's charges
+
+
+def test_cli_glact_transforms_the_charge_once(fixture_path, monkeypatch):
+    real, calls = stabspace.StabilityConditionHandle.charge2d, []
+
+    def counting(self):
+        calls.append(self.g)
+        return real(self)
+
+    for matrix, compatible in (("2,0,0,2", True), ("-1,0,0,-1", False), ("1,1,-1,2", True)):
+        argv = ("--input", str(fixture_path), "glact", "Zstd", f"--matrix={matrix}", "--testset", "wide")
+        code, text = run_cli(*argv)
+        assert code == 0 and json.loads(text)["result"]["heart_compatible"] is compatible
+        with monkeypatch.context() as m:
+            m.setattr(stabspace.StabilityConditionHandle, "charge2d", counting)
+            calls.clear()
+            assert run_cli(*argv) == (code, text)
+        assert len(calls) == 1, matrix
+
+
 def test_cli_testset_rows_keep_order_and_repeats(fixture_path, tmp_path):
     # S1 is listed twice; SS and the complex PS are not semistable under Zstd
     doc = json.loads(fixture_path.read_text())
@@ -427,14 +474,25 @@ def test_cli_deform_checks_the_hn_factors_of_unstable_objects(tmp_path):
 
 
 def test_cli_argument_errors_exit_2_with_payload(fixture_path, capsys):
-    cases = {("--cap", "x"): "argument --cap: invalid int value: 'x'",
-             ("--output", "yaml"): "argument --output: invalid choice: 'yaml'"}
-    for option, message in cases.items():
-        argv = ["--input", str(fixture_path), *option, "semistable", "P", "Zstd"]
+    from stabkit.exactnum import MAX_LITERAL as M
+
+    semistable = ("semistable", "P", "Zstd")
+    glact = ("glact", "Zstd", "--matrix", "2,0,0,2", "--testset", "basic")
+    out_of_range = f"stabkit glact: argument --branch: branch index is out of range: its magnitude must be at most {M}"
+    cases = {("--cap", "x", *semistable): "argument --cap: invalid int value: 'x'",
+             ("--output", "yaml", *semistable): "argument --output: invalid choice: 'yaml'",
+             (*glact, "--branch", "x"): "stabkit glact: argument --branch: invalid int value: 'x'",
+             (*glact, "--branch", "1/2"): "stabkit glact: argument --branch: invalid int value: '1/2'",
+             (*glact, "--branch", str(M + 1)): out_of_range,
+             (*glact, f"--branch=-{M + 1}"): out_of_range,
+             (*glact, "--branch", "1" + "0" * 400): out_of_range}  # a float phase would overflow
+    for args, message in cases.items():
+        argv = ["--input", str(fixture_path), *args]
         code, text = cli.run(argv)
         payload = json.loads(text)
         assert code == 2 and payload["ok"] is False and payload["command"] is None
         assert payload["error"] == "StabkitError" and message in payload["message"]
+        assert "--branch" not in args or payload["message"] == message
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err) == payload
@@ -495,6 +553,19 @@ def test_cli_invariant_violation_exit_3(fixture_path, monkeypatch):
     code, text = run_cli("--input", str(fixture_path), "hn", "P", "Zstd")
     assert code == 3
     assert json.loads(text)["error"] == "InvariantViolation"
+
+
+def test_cli_hn_routes_that_disagree_exit_3(fixture_path, monkeypatch):
+    # planted defect: the minimal-quotient route filters under another charge
+    from stabkit import stability
+
+    real, flip = stability.hn_filtration_mdq, parse_session(fixture_path.read_text()).charge("Zflip")
+    monkeypatch.setattr(stability, "hn_filtration_mdq",
+                        lambda rep, Z, cap, validate=True: real(rep, flip, cap, validate=validate))
+    code, text = run_cli("--input", str(fixture_path), "hn", "P", "Zstd")
+    payload = json.loads(text)
+    assert (code, payload["error"]) == (3, "InvariantViolation")
+    assert payload["message"] == "the two filtration algorithms disagree on this input"
 
 
 def test_cli_json_byte_determinism(fixture_path):
@@ -689,6 +760,8 @@ POINTER_REFUSALS = [
      "at /: unknown top-level fields ['Extra', 'notes']"),
     ("bad rational literal", lambda doc: doc.update(D=2) or doc["charges"]["Zstd"]["z"][0].update(re={"a": 1.5}),
      "SchemaError", "at /charges/Zstd/z/0/re/a: bad rational literal 1.5"),
+    ("bad rational string", lambda doc: doc["charges"]["Zstd"]["z"][0].update(re="1/0"),
+     "SchemaError", "at /charges/Zstd/z/0/re: bad rational literal '1/0': Fraction(1, 0)"),
 ]
 
 
@@ -745,6 +818,8 @@ def test_cli_largest_literals_exit_0(fixture_path, tmp_path):
     commands += [["--input", str(path), "deform", "Zstd", "Zpert", f"--eps=1/{M}", "--testset", "wide"]]
     commands += [["--input", str(path), "glact", z, f"--matrix={m}", "--testset", "wide"]
                  for z in ("Zstd", "Zflip") for m in matrices]
+    commands += [["--input", str(path), "glact", "Zstd", f"--matrix={m}", f"--branch={b}", "--testset", "wide"]
+                 for m in matrices for b in (M, -M)]
     commands += [["curve", which, f"--matrix={m}"] for which in ("classify", "reduce") for m in matrices]
     for argv in commands:
         for output in ("json", "csv"):

@@ -14,8 +14,14 @@ from stabkit.slicing import (
     phi_bounds,
     slicing_distance,
 )
-from stabkit.stabspace import StabilityConditionHandle
-from stabkit.errors import CapExceededError, FieldMismatchError, UnsupportedVerdictError, ZeroObjectError
+from stabkit.stabspace import GLtildeElement, StabilityConditionHandle
+from stabkit.errors import (
+    CapExceededError,
+    FieldMismatchError,
+    InvariantViolation,
+    UnsupportedVerdictError,
+    ZeroObjectError,
+)
 
 from support import A2, F2, F3, Q, all_ses, ec, charge, instance_stream, labelled, random_charge, rep
 
@@ -210,6 +216,15 @@ def test_library_refusals_by_class_and_message(a2_reps, z_std):
         slicing_distance(sigma, sigma, ())
     with pytest.raises(ZeroObjectError, match="^containment check needs a nonempty testset$"):
         containment_check(sigma, sigma, Fraction(1, 10), ())
+
+
+def test_decompose_refuses_a_relabeling_that_breaks_the_order(a2_reps, z_flip, monkeypatch):
+    # planted defect: a relabeling that sends every phase to 1/2
+    fc = fc0(a2_reps["P"])
+    assert len(hn_decompose(fc, handle(z_flip))) == 2
+    monkeypatch.setattr(GLtildeElement, "relabel", lambda self, p: PhaseKey(0, ec(0, 1)))
+    with pytest.raises(InvariantViolation, match="^decomposition phases are not strictly descending$"):
+        hn_decompose(fc, handle(z_flip))
 
 
 def test_decompose_refuses_an_object_over_another_heart(a2_reps, z_std):

@@ -7,10 +7,11 @@ import pytest
 
 from stabkit.errors import (
     FieldMismatchError,
-    HeartChangeUnsupportedError,
     HypothesisViolatedError,
+    InvariantViolation,
     OrientationError,
     ProportionalPairError,
+    StabilityFunctionError,
     StabkitError,
     ZeroObjectError,
 )
@@ -48,7 +49,7 @@ from stabkit.stabspace import (
     validate_axioms,
 )
 
-from support import A2, F2, F3, charge, ec, labelled, random_charge
+from support import A2, F2, F3, charge, ec, heart_charge, labelled, random_charge
 
 
 def fc0(r):
@@ -81,12 +82,12 @@ def test_scalar_action_keeps_phases(a2_reps, z_std):
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     sigma2, relabeled = gl_act(sigma, GLtildeElement(mat2(2, 0, 0, 2), 0), testset)
     assert sigma2.charge2d() == tuple(z.scale(Fraction(1, 2)) for z in z_std.values)
-    assert sigma2.heart_compatible
+    assert heart_charge(sigma2) is not None
     assert [label for label, _ in relabeled] == ["S1", "S2", "P"]
     for (_, key), (_, want) in zip(relabeled, testset):
         assert key == sigma.semistable_phase(want)
     # verdicts computed directly from the transformed charge agree
-    Z2 = sigma2.as_central_charge()
+    Z2 = heart_charge(sigma2)
     for name in ("S1", "S2", "P"):
         assert is_semistable(a2_reps[name], Z2).verdict == is_semistable(a2_reps[name], z_std).verdict
 
@@ -96,7 +97,7 @@ def test_shift_action_axiom_b(a2_reps, z_std):
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     sigma2, relabeled = gl_act(sigma, GLtildeElement.shift(), testset)
     assert sigma2.charge2d() == tuple(-z for z in z_std.values)
-    assert not sigma2.heart_compatible
+    assert heart_charge(sigma2) is None
     objects = dict(testset)
     for label, key in relabeled:
         assert key == sigma.semistable_phase(objects[label]).shift(1)
@@ -278,7 +279,7 @@ def test_sin_bounds_are_memoised_per_eps():
 def test_deform_identity(a2_reps, z_std):
     sigma = handle(z_std)
     testset = labelled(a2_reps, ("S1", "S2", "P"))
-    tau, report = deform(sigma, z_std.values, Fraction(1, 10), testset)
+    tau, report = deform(sigma, z_std, Fraction(1, 10), testset)
     assert report.distance == 0.0
     assert tau.charge == z_std
 
@@ -287,7 +288,7 @@ def test_deform_fixture(a2_reps, z_std):
     sigma = handle(z_std)
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     w = charge((-1, 1), (1, Fraction(11, 10)))
-    tau, report = deform(sigma, w.values, Fraction(1, 10), testset)
+    tau, report = deform(sigma, w, Fraction(1, 10), testset)
     assert report.distance < 0.1
     assert all(r.margin > 0 for r in report.hypothesis)
     assert tau.charge == w
@@ -302,7 +303,7 @@ def test_deform_across_wall(a2_reps):
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     assert is_semistable(a2_reps["P"], z).is_semistable
     assert not is_semistable(a2_reps["P"], w).is_semistable
-    tau, report = deform(sigma, w.values, Fraction(1, 10), testset)
+    tau, report = deform(sigma, w, Fraction(1, 10), testset)
     assert report.distance < 0.1
 
 
@@ -311,22 +312,96 @@ def test_deform_hypothesis_violation(a2_reps, z_std):
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     w = charge((-1, 1), (1, 3))
     with pytest.raises(HypothesisViolatedError, match="S2"):
-        deform(sigma, w.values, Fraction(1, 20), testset)
+        deform(sigma, w, Fraction(1, 20), testset)
 
 
 def test_deform_heart_change_rejected(a2_reps, z_std):
+    # the perturbed charge is a CentralCharge: its constructor is the one half-plane check
     sigma = handle(z_std)
     testset = labelled(a2_reps, ("S1",))
     bad = (ec(-1, 1), ec(1, -1))
-    with pytest.raises(HeartChangeUnsupportedError):
-        deform(sigma, bad, Fraction(1, 10), testset)
+    message = r"^charge value 2 = \(1 \+ -1i\) is outside the strict upper half-plane$"
+    with pytest.raises(StabilityFunctionError, match=message):
+        deform(sigma, CentralCharge(bad), Fraction(1, 10), testset)
+    from stabkit import errors
+
+    assert not hasattr(errors, "HeartChangeUnsupportedError")  # deform keeps no second check
 
 
 def test_deform_eps_range(a2_reps, z_std):
     sigma = handle(z_std)
     testset = labelled(a2_reps, ("S1",))
     with pytest.raises(StabkitError):
-        deform(sigma, z_std.values, Fraction(1, 4), testset)
+        deform(sigma, z_std, Fraction(1, 4), testset)
+
+
+def test_deform_reuses_the_memo_of_the_charge_it_is_given(a2_reps, monkeypatch):
+    from stabkit import stability
+
+    real, calls = stability.hn_filtration_max_sub, []
+
+    def counting(rep, Z, *args, **kwargs):
+        calls.append(Z)
+        return real(rep, Z, *args, **kwargs)
+
+    z, w = charge((-1, 1), (1, 1)), charge((-1, 1), (1, Fraction(11, 10)))
+    sigma = handle(z)
+    testset = labelled(a2_reps, ("S1", "S2", "P", "SS", "P"))
+    monkeypatch.setattr(stability, "hn_filtration_max_sub", counting)
+    tau, report = deform(sigma, w, Fraction(1, 10), testset)
+    assert tau.charge is w
+    assert sum(Z is w for Z in calls) == 4  # one filtration per distinct object, kept in w's memo
+    calls.clear()
+    assert deform(sigma, w, Fraction(1, 10), testset) == (tau, report)
+    assert calls == []  # tau's side reads the memo the first call filled
+
+
+def test_deform_refuses_a_margin_inside_the_rounding_band(a2_reps, z_std, monkeypatch):
+    from stabkit import stabspace
+
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
+    w = charge((-1, 1), (1, Fraction(11, 10)))
+    # a bracket [0, 1] on sin(pi*eps) puts every |W - Z| < |Z| inside the band
+    monkeypatch.setattr(stabspace, "sin_pi_eps_bounds", lambda eps: (Fraction(0), Fraction(1)))
+    message = r"^deformation hypothesis is within the certified rounding band on S1; rejected conservatively$"
+    with pytest.raises(HypothesisViolatedError, match=message):
+        deform(handle(z_std), w, Fraction(1, 10), testset)
+
+
+def test_deform_conclusion_gate_exits_3_on_a_wrong_tau(a2_reps, z_std, z_flip, monkeypatch):
+    # planted defect: the deformed handle is built over a charge other than the checked W
+    from stabkit import stabspace
+
+    real = stabspace.StabilityConditionHandle
+    sigma = handle(z_std)
+    testset = labelled(a2_reps, ("S1", "S2", "P"))
+    monkeypatch.setattr(stabspace, "StabilityConditionHandle", lambda quiver, field, W: real(quiver, field, z_flip))
+    message = r"^deformation conclusion failed: testset slicing distance 0\.5 is not below eps 1/10$"
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        deform(sigma, charge((-1, 1), (1, Fraction(11, 10))), Fraction(1, 10), testset)
+    assert exc.value.exit_code == 3
+
+
+def test_gl_act_decomposes_each_object_once(a2_reps, z_std, monkeypatch):
+    from stabkit import slicing
+
+    real, calls = slicing.hn_decompose, []
+
+    def counting(fc, S, cap):
+        calls.append(fc)
+        return real(fc, S, cap)
+
+    testset = labelled(a2_reps, ("S1", "S2", "P", "SS", "S1"))
+    testset.append(("S1[1]", fc0(a2_reps["S1"]).shifted(1)))
+    sigma, _ = gl_act(handle(z_std), GLtildeElement(mat2(2, 1, -1, 3), 1))
+    g = GLtildeElement(mat2(1, -2, 1, 1), -1)
+    sigma2 = StabilityConditionHandle(A2, F2, z_std, mul_sequential(sigma.g, g))
+    expected = [(label, sigma2.semistable_phase(fc)) for label, fc in testset
+                if sigma.semistable_phase(fc) is not None]
+    assert [label for label, _ in expected] == ["S1", "S2", "P", "S1", "S1[1]"]  # SS is not semistable
+    monkeypatch.setattr(slicing, "hn_decompose", counting)
+    assert gl_act(sigma, g, testset) == (sigma2, expected)
+    assert calls == [fc for _, fc in testset]
 
 
 def test_stab_distance_identity_and_scaling(a2_reps, z_std):
@@ -382,9 +457,9 @@ def test_semistable_set_invariance_random(a2_reps, z_std):
     while checked < 25:
         g = random_element(rng)
         sigma2, _ = gl_act(sigma, g)
-        if not sigma2.heart_compatible:
+        if heart_charge(sigma2) is None:
             continue
-        Z2 = sigma2.as_central_charge()
+        Z2 = heart_charge(sigma2)
         for name in names:
             assert is_semistable(a2_reps[name], Z2).verdict == is_semistable(a2_reps[name], z_std).verdict
         checked += 1

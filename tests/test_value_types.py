@@ -82,7 +82,7 @@ def every_class_instance() -> dict[str, object]:
         ellcurve.NumClass(1, 2), ellcurve.NumericalCharge(g.T), ellcurve.modular_reduce(g),
         stability.is_semistable(doc.rep("P"), Z), stability.hn_filtration_max_sub(doc.rep("P"), Z),
         stability.mass([Z.of((1, 1))]), stability.check_discreteness(Z),
-        stabspace.deform(sigma, doc.charge("Zpert").values, Fraction(1, 10), testset)[1],
+        stabspace.deform(sigma, doc.charge("Zpert"), Fraction(1, 10), testset)[1],
         stabspace.find_walls(path, list(spec.pairs)),
         stabspace.validate_axioms(sigma, testset),
         doc.object("PS"), slicing.hn_decompose(doc.object("PS"), sigma)[0],
