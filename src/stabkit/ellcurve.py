@@ -23,7 +23,7 @@ from .stabspace import (
     mat2_mul,
 )
 
-MAT_STD: Mat2 = mat2(0, -1, 1, 0)  # sends (r, d) to (-d, r)
+MAT_STD: Mat2 = mat2(0, -1, 1, 0)  # the standard charge -d + i*r: sends (r, d) to (-d, r)
 
 
 class NumClass(NamedTuple):
@@ -31,16 +31,6 @@ class NumClass(NamedTuple):
 
     r: int
     d: int
-
-
-def euler_form_curve(c1: NumClass, c2: NumClass) -> int:
-    """Antisymmetric pairing r1*d2 - r2*d1."""
-    return c1.r * c2.d - c2.r * c1.d
-
-
-def std_charge(c: NumClass) -> ExactComplex:
-    """-degree + i * rank."""
-    return ExactComplex(Fraction(-c.d), Fraction(c.r))
 
 
 class NumericalCharge(Frozen):
@@ -56,11 +46,6 @@ class NumericalCharge(Frozen):
             self.M[0][0] * c.r + self.M[0][1] * c.d,
             self.M[1][0] * c.r + self.M[1][1] * c.d,
         )
-
-
-def charge_of_element(g: GLtildeElement) -> NumericalCharge:
-    """Numerical charge of the standard condition acted on by g."""
-    return NumericalCharge(mat2_mul(mat2_inv(g.T), MAT_STD))
 
 
 _SKYSCRAPER_KEY = PhaseKey(0, ExactComplex(Fraction(-1), Fraction(0)))  # phase exactly 1

@@ -84,10 +84,6 @@ class Quiver(Frozen):
             raise CycleError("/arrows", "quiver has a directed cycle through vertices "
                              + " -> ".join(map(str, exc.args[1]))) from None
 
-    @property
-    def vertices(self):
-        return range(1, self.n + 1)
-
 
 def euler_form(quiver: Quiver, alpha: DimVector, beta: DimVector) -> int:
     """Bilinear form sum_i a_i b_i - sum_{arrows i->j} a_i b_j.

@@ -166,14 +166,14 @@ def _expect(obj, typ, pointer, what):
     return obj
 
 
-def _parse_d(doc: dict, pointer: str) -> int | None:
-    """The optional quadratic-extension parameter D of a document."""
+def _parse_d(doc: dict) -> int | None:
+    """The optional quadratic-extension parameter D of a session document."""
     quad_d = doc.get("D")
     if quad_d is not None:
-        _expect(quad_d, int, pointer, "an integer")
+        _expect(quad_d, int, "/D", "an integer")
         if quad_d > MAX_D:
-            raise SchemaError(pointer, f"D must be at most {MAX_D}, got {quad_d}")
-        _at(pointer, QuadScalar, Fraction(0), Fraction(1), quad_d)  # validates square-freeness
+            raise SchemaError("/D", f"D must be at most {MAX_D}, got {quad_d}")
+        _at("/D", QuadScalar, Fraction(0), Fraction(1), quad_d)  # validates square-freeness
     return quad_d
 
 
@@ -230,7 +230,7 @@ def parse_session(text: str) -> SessionDocument:
     fname = _expect(doc.get("field"), str, "/field", "a field name")
     field = _at("/field", linalg.field_by_name, fname)
 
-    quad_d = _parse_d(doc, "/D")
+    quad_d = _parse_d(doc)
 
     reps: dict[str, QuiverRep] = {}
     for name, rraw in sorted(_expect(doc.get("reps", {}), dict, "/reps", "an object").items()):
@@ -337,21 +337,6 @@ def parse_session(text: str) -> SessionDocument:
         raise SchemaError("/", f"unknown top-level fields {sorted(extra)}")
 
     return SessionDocument(quiver, field, quad_d, reps, charges, complexes, testsets, paths)
-
-
-def serialize_session(doc: SessionDocument) -> str:
-    return json.dumps(doc.to_canonical(), indent=2, sort_keys=False) + "\n"
-
-
-def parse_charge_document(text: str) -> CentralCharge:
-    """Standalone charge file: {"charge": {"z": [{"re","im"},...], "D": n}}."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
-        raise SchemaError("/", f"invalid JSON: {exc}") from None
-    body = _expect(_expect(doc, dict, "/", "a JSON object").get("charge"), dict, "/charge", "an object")
-    quad_d = _parse_d(body, "/charge/D")
-    return _parse_charge(_expect(body.get("z"), list, "/charge/z", "a list"), "/charge", quad_d)
 
 
 def fmt_exact_complex(z: ExactComplex) -> dict:

@@ -1,6 +1,6 @@
-"""Formal shifted-module complexes, their descending-phase decompositions,
-interval membership, and the finite-testset slicing metric, all taken in
-a stability condition given as a ``stabspace.StabilityConditionHandle``.
+"""Formal shifted-module complexes, their descending-phase decompositions
+and phase bounds, and the finite-testset slicing metric, all taken in a
+stability condition given as a ``stabspace.StabilityConditionHandle``.
 
 The derived-category model is hereditary: an object is a finite formal
 direct sum of shifted representations.  Decompositions are then finite
@@ -10,7 +10,6 @@ concatenations of module-level filtrations, one shift at a time.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import quivrep, stability
@@ -136,32 +135,6 @@ def phi_bounds(fc: FormalComplex, S: StabilityConditionHandle,
     return factors[-1].key, factors[0].key
 
 
-class PhaseInterval(NamedTuple):
-    """Interval with exact direction endpoints (PhaseKeys), open or closed."""
-
-    lo: PhaseKey
-    hi: PhaseKey
-    lo_open: bool = True
-    hi_open: bool = True
-
-    def admits_lower(self, key: PhaseKey) -> bool:
-        c = key.cmp(self.lo)
-        return c > 0 if self.lo_open else c >= 0
-
-    def admits_upper(self, key: PhaseKey) -> bool:
-        c = key.cmp(self.hi)
-        return c < 0 if self.hi_open else c <= 0
-
-
-def in_interval(fc: FormalComplex, S: StabilityConditionHandle, interval: PhaseInterval,
-                cap: int = quivrep.DEFAULT_CAP) -> bool:
-    """Membership of fc in the slice of the interval (zero always belongs)."""
-    if fc.is_zero:
-        return True
-    lo_key, hi_key = phi_bounds(fc, S, cap)
-    return interval.admits_lower(lo_key) and interval.admits_upper(hi_key)
-
-
 Testset = Sequence[tuple[str, FormalComplex]]  # (label, object) pairs
 
 
@@ -198,24 +171,3 @@ def slicing_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
         lo2, hi2 = phi_bounds(fc, s2, cap)
         rows.append(ObjectDrift(label, phase_diff_float(lo1, lo2), phase_diff_float(hi1, hi2)))
     return DistanceReport(max(r.value for r in rows), tuple(rows))
-
-
-def containment_check(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
-                      eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> bool:
-    """Every testset object, each required to be s2-semistable, must sit
-    in the closed eps-band of s1-phases around its s2-phase.
-
-    Both s2 bounds of such an object are its phase psi, so the drifts of
-    :func:`slicing_distance` are phi+ - psi and phi- - psi, compared with
-    eps as the same advisory floats (documented error below 2**-40 at
-    desk scale); distance <= eps implies containment on the same testset
-    by construction.
-    """
-    if not testset:
-        raise ZeroObjectError("containment check needs a nonempty testset")
-    for label, fc in testset:
-        if len(hn_decompose(fc, s2, cap)) != 1:
-            raise ZeroObjectError(f"testset object {label} is not semistable in the reference condition")
-    eps_f = float(eps)
-    return all(r.hi_diff <= eps_f and -r.lo_diff <= eps_f
-               for r in slicing_distance(s1, s2, testset, cap).rows)

@@ -326,10 +326,6 @@ class DiscretenessReport(NamedTuple):
     basis: tuple[tuple[int, ...], ...]
     explanation: str
 
-    @property
-    def is_discrete(self) -> bool:
-        return self.verdict == "discrete"
-
 
 def _hnf_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
     """Row span basis of an integer matrix via unimodular row reduction."""

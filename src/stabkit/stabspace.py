@@ -1,5 +1,5 @@
 """Stability conditions as points: the universal-cover plane action with
-exact branch bookkeeping, finite-testset norms and metrics, verified
+exact branch bookkeeping, finite-testset metrics, verified
 heart-preserving deformations, and wall detection along charge paths.
 
 Branch convention (pinned once, used everywhere): an element (T, m)
@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from . import quivrep, slicing, stability
 from .errors import (
+    FieldMismatchError,
     HypothesisViolatedError,
     InvariantViolation,
     OrientationError,
@@ -39,12 +40,11 @@ from .exactnum import (
     phase_key_anchor,
     root_bounds,
     sign_of,
-    sqrt_bounds,
     split_fraction,
 )
 from .linalg import Field
 from .quivrep import DimVector, Quiver
-from .slicing import FormalComplex, Testset
+from .slicing import Testset
 from .stability import CentralCharge
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -118,9 +118,6 @@ class GLtildeElement(Frozen):
     def is_identity(self) -> bool:
         return self.m == 0 and self.T == MAT2_ID
 
-    def t_inv(self) -> Mat2:
-        return self._t_inv
-
     def transform_charge(self, z: ExactComplex) -> ExactComplex:
         return mat2_apply(self._t_inv, z)
 
@@ -174,6 +171,7 @@ class StabilityConditionHandle(Frozen):
     half-plane charge on the heart and ``g`` the accumulated group
     element.  Semistable objects are those of the plain condition;
     phases are relabeled through g and the charge is T^{-1} of ``charge``.
+    The constructor refuses a charge whose length is not the quiver's.
     """
 
     __slots__ = ("quiver", "field", "charge", "g")
@@ -184,16 +182,14 @@ class StabilityConditionHandle(Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "g", g)
+        if charge.n != quiver.n:
+            raise FieldMismatchError(f"charge has length {charge.n}, quiver has {quiver.n} vertices")
 
     def charge2d(self) -> tuple[ExactComplex, ...]:
         return tuple(self.g.transform_charge(z) for z in self.charge.values)
 
     def charge_of(self, alpha: DimVector) -> ExactComplex:
         return self.g.transform_charge(self.charge.of(alpha))
-
-    def semistable_phase(self, fc: FormalComplex, cap: int = quivrep.DEFAULT_CAP) -> PhaseKey | None:
-        factors = slicing.hn_decompose(fc, self, cap)
-        return factors[0].key if len(factors) == 1 else None
 
 
 def gl_act(sigma: StabilityConditionHandle, g: GLtildeElement,
@@ -219,33 +215,6 @@ def charge_matches_key(z: ExactComplex, key: PhaseKey) -> bool:
     (after undoing the half-turn parity of the integer part)."""
     vec = key.dir if key.k % 2 == 0 else -key.dir
     return cross_sign(z, vec) == 0 and sign_of(z.re * vec.re + z.im * vec.im) > 0
-
-
-def norm_sigma(U: tuple[ExactComplex, ...], sigma: StabilityConditionHandle,
-               testset: Testset, cap: int = quivrep.DEFAULT_CAP) -> float:
-    """max |U(E)| / |Z(E)| over sigma-semistable testset objects, a
-    finite-testset lower bound for the norm."""
-    if not testset:
-        raise ZeroObjectError("norm needs a nonempty testset")
-    if len(U) != sigma.charge.n:
-        raise StabkitError(f"linear map has {len(U)} components, charge expects {sigma.charge.n}")
-    ratios = []
-    for label, fc in testset:
-        if sigma.semistable_phase(fc, cap) is None:
-            raise StabkitError(f"testset object {label} is not semistable; the norm only samples semistables")
-        alpha = fc.class_vector()
-        u = ExactComplex(Fraction(0), Fraction(0))
-        for a, comp in zip(alpha, U):
-            if a:
-                u = u + comp.scale(a)
-        z = sigma.charge_of(alpha)
-        ratio_sq = u.abs_squared() / z.abs_squared()
-        if sign_of(ratio_sq) == 0:
-            ratios.append(0.0)
-        else:
-            lo, hi = sqrt_bounds(ratio_sq, 70)
-            ratios.append(float((lo + hi) / 2))
-    return max(ratios)
 
 
 _PI_LO = Fraction(31415926535897932384626433832795028841, 10 ** 37)
@@ -295,18 +264,21 @@ def deform(sigma: StabilityConditionHandle, W: CentralCharge,
            eps: Fraction, testset: Testset, cap: int = quivrep.DEFAULT_CAP):
     """Heart-preserving deformation to W with a verified conclusion.
 
-    The deformed handle is built over W, so it shares W's filtration
-    memo.  Requires |W(E) - Z(E)| < sin(pi*eps) |Z(E)| for every sigma-HN
-    factor E of every testset object, decided through exact
-    squared-modulus comparisons against certified sin bounds (borderline
-    rejected with a flag).  Returns the deformed handle plus a report
-    whose finite-testset slicing distance must come out below eps;
-    anything else is a hard failure, not a warning.
+    The deformed handle is built over W first, so its constructor
+    refuses a W of the wrong length before any hypothesis is checked,
+    and it shares W's filtration memo.  Requires |W(E) - Z(E)| <
+    sin(pi*eps) |Z(E)| for every sigma-HN factor E of every testset
+    object, decided through exact squared-modulus comparisons against
+    certified sin bounds (borderline rejected with a flag).  Returns the
+    deformed handle plus a report whose finite-testset slicing distance
+    must come out below eps; anything else is a hard failure, not a
+    warning.
     """
     if not sigma.g.is_identity:
         raise StabkitError("deform expects an unacted handle; apply the plane action afterwards")
     if not testset:
         raise ZeroObjectError("deform needs a nonempty testset")
+    tau = StabilityConditionHandle(sigma.quiver, sigma.field, W)
     Z = sigma.charge
     s_lo, s_hi = sin_pi_eps_bounds(eps)
     lo2, hi2, mid = s_lo * s_lo, s_hi * s_hi, float((s_lo + s_hi) / 2)
@@ -339,7 +311,6 @@ def deform(sigma: StabilityConditionHandle, W: CentralCharge,
     for label, factors in unstable:
         for f in factors:
             margin(f"{label} (its HN factor of class {list(f.factor.dims)})", f.factor.dims)
-    tau = StabilityConditionHandle(sigma.quiver, sigma.field, W)
     dist = slicing.slicing_distance(sigma, tau, testset, cap)
     if not dist.value < float(eps):
         raise InvariantViolation(

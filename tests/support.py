@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from stabkit.ellcurve import MAT_STD, NumericalCharge
 from stabkit.exactnum import ExactComplex, in_strict_upper_half
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import (
@@ -25,8 +26,9 @@ from stabkit.quivrep import (
     hom_dim,
     subquotient,
 )
-from stabkit.slicing import FormalComplex
+from stabkit.slicing import FormalComplex, hn_decompose
 from stabkit.stability import CentralCharge
+from stabkit.stabspace import mat2_inv, mat2_mul
 
 A2 = Quiver(2, (Arrow("a", 1, 2),))
 A3 = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
@@ -66,6 +68,18 @@ def heart_charge(S) -> CentralCharge | None:
     return CentralCharge(values) if all(map(in_strict_upper_half, values)) else None
 
 
+def semistable_phase(S, fc: FormalComplex):
+    """The phase of fc in the handle S when fc is semistable there, else None."""
+    factors = hn_decompose(fc, S)
+    return factors[0].key if len(factors) == 1 else None
+
+
+def charge_of_element(g) -> NumericalCharge:
+    """The numerical charge that ``ellcurve.classify`` sends to g: the
+    standard charge acted on by g."""
+    return NumericalCharge(mat2_mul(mat2_inv(g.T), MAT_STD))
+
+
 def rep(quiver: Quiver, field, dims, maps_by_name=None) -> QuiverRep:
     maps_by_name = maps_by_name or {}
     maps = []
@@ -84,7 +98,7 @@ def zero_rep(quiver: Quiver, field) -> QuiverRep:
 
 
 def simple_rep(quiver: Quiver, field, vertex: int) -> QuiverRep:
-    return rep(quiver, field, tuple(int(v == vertex) for v in quiver.vertices))
+    return rep(quiver, field, tuple(int(v == vertex) for v in range(1, quiver.n + 1)))
 
 
 def ext1_dim(M: QuiverRep, N: QuiverRep) -> int:
@@ -157,7 +171,7 @@ def all_ses(r: QuiverRep) -> list:
 
 def random_rep(rng: random.Random, quiver: Quiver, field, max_total=6, max_per_vertex=4) -> QuiverRep:
     while True:
-        dims = tuple(rng.randint(0, max_per_vertex) for _ in quiver.vertices)
+        dims = tuple(rng.randint(0, max_per_vertex) for _ in range(quiver.n))
         if 0 < sum(dims) <= max_total:
             break
     maps = []

@@ -17,7 +17,7 @@ from stabkit import cli, stabspace
 from stabkit.errors import CycleError, InvariantViolation, SchemaError, StabkitError
 from stabkit.exactnum import QuadScalar
 from stabkit.quivrep import enumerate_submodules
-from stabkit.session import parse_session, serialize_session
+from stabkit.session import parse_session
 from stabkit.stabspace import cmp_roots
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,15 +66,28 @@ def test_bad_field_and_entries():
         "reps": {"x": {"dims": [1], "maps": {}}},
         "charges": {"z": {"z": [{"re": "1", "im": "0"}]}},
     }
-    with pytest.raises(SchemaError, match="/charges/z"):
+    refusal = r"^at /charges/z: charge value 1 = \(1 \+ 0i\) is outside the strict upper half-plane$"
+    with pytest.raises(SchemaError, match=refusal):
         parse_session(json.dumps(doc))
+
+
+def canonical_text(doc) -> str:
+    return json.dumps(doc.to_canonical(), indent=2) + "\n"
 
 
 def test_round_trip_idempotent(fixture_path):
     doc = parse_session(fixture_path.read_text())
-    once = serialize_session(doc)
-    twice = serialize_session(parse_session(once))
+    once = canonical_text(doc)
+    twice = canonical_text(parse_session(once))
     assert once == twice
+
+
+def test_round_trip_keeps_sqrt2_charges():
+    doc = parse_session((ROOT / "fixtures" / "a3_sqrt2_session.json").read_text())
+    once = canonical_text(doc)
+    again = parse_session(once)
+    assert again.quad_d == doc.quad_d == again.charges["Zq"].quad_d == 2
+    assert again.charges == doc.charges and canonical_text(again) == once
 
 
 def test_canonical_form_refuses_a_complex_over_an_undeclared_rep(fixture_path):
@@ -87,17 +100,6 @@ def test_canonical_form_refuses_a_complex_over_an_undeclared_rep(fixture_path):
                             doc.testsets, doc.paths)
     with pytest.raises(UnknownNameError, match="^complex references an undeclared representation$"):
         built.to_canonical()
-
-
-def test_standalone_charge_document():
-    from stabkit.session import parse_charge_document
-
-    Z = parse_charge_document(json.dumps(
-        {"charge": {"z": [{"re": "-1", "im": "1"}, {"re": "0", "im": {"a": "0", "b": "1"}}], "D": 2}}
-    ))
-    assert Z.quad_d == 2
-    with pytest.raises(SchemaError, match="at /charge.*half-plane"):
-        parse_charge_document(json.dumps({"charge": {"z": [{"re": "1", "im": 0}]}}))
 
 
 def run_cli(*argv):
@@ -674,14 +676,14 @@ def test_cli_huge_d_exit_2(fixture_path, tmp_path):
     code, message = _malformed_fixture_exit(fixture_path, tmp_path, lambda doc: doc.update(D=10**30 + 1))
     assert code == 2
     assert message.startswith("at /D:")
-    from stabkit.session import MAX_D, parse_charge_document
+    from stabkit.session import MAX_D
 
     largest_prime_below_bound = 999999999989
     assert largest_prime_below_bound < MAX_D
     doc = {"quiver": {"vertices": 1}, "field": "F2", "D": largest_prime_below_bound}
     assert parse_session(json.dumps(doc)).quad_d == largest_prime_below_bound
-    with pytest.raises(SchemaError, match="at /charge/D"):
-        parse_charge_document(json.dumps({"charge": {"z": [{"re": "0", "im": "1"}], "D": MAX_D + 1}}))
+    with pytest.raises(SchemaError, match=f"^at /D: D must be at most {MAX_D}, got {MAX_D + 1}$"):
+        parse_session(json.dumps(dict(doc, D=MAX_D + 1)))
 
 
 def test_cli_huge_dims_exit_2(fixture_path, tmp_path):
@@ -783,8 +785,6 @@ def test_cli_refusals_carry_the_document_pointer(fixture_path, tmp_path, label, 
 
 def test_cli_overlong_integer_literal_exit_2(fixture_path, tmp_path):
     # the JSON reader refuses to convert an integer literal of more than 4300 digits
-    from stabkit.session import parse_charge_document
-
     text = fixture_path.read_text()
     assert '"dims": [1, 0]' in text
     bad = tmp_path / "bad.json"
@@ -794,7 +794,7 @@ def test_cli_overlong_integer_literal_exit_2(fixture_path, tmp_path):
     assert (code, payload["error"]) == (2, "SchemaError")
     assert payload["message"].startswith("at /: invalid JSON")
     with pytest.raises(SchemaError, match="^at /: invalid JSON"):
-        parse_charge_document('{"charge": {"z": [], "D": 1' + "0" * 5000 + "}}")
+        parse_session('{"quiver": {"vertices": 1}, "field": "F2", "D": 1' + "0" * 5000 + "}")
 
 
 def test_cli_largest_literals_exit_0(fixture_path, tmp_path):

@@ -86,7 +86,6 @@ def every_class_instance() -> dict[str, object]:
         stabspace.find_walls(path, list(spec.pairs)),
         stabspace.validate_axioms(sigma, testset),
         doc.object("PS"), slicing.hn_decompose(doc.object("PS"), sigma)[0],
-        slicing.PhaseInterval(PhaseKey(0, ec(1, 2)), PhaseKey(0, ec(-1, 2))),
         slicing.slicing_distance(sigma, flip, testset),
     ]
     out = {type(x).__name__: x for x in built}
