@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from . import quivrep
 from .errors import (
+    FieldMismatchError,
     InvariantViolation,
     StabilityFunctionError,
     UnsupportedScalarError,
@@ -70,7 +71,7 @@ class CentralCharge(Frozen):
 
     def of(self, alpha: DimVector) -> ExactComplex:
         if len(alpha) != self.n:
-            raise ZeroClassError(f"class has length {len(alpha)}, charge expects {self.n}")
+            raise FieldMismatchError(f"class has length {len(alpha)}, charge expects {self.n}")
         re = im = Fraction(0)
         for a, z in zip(alpha, self.values):
             if a:

@@ -90,7 +90,7 @@ class GLtildeElement(Frozen):
     """Element of the universal cover of the positive-determinant plane
     group: a rational matrix plus an integer branch index."""
 
-    __slots__ = ("T", "m", "_t_inv", "_reference", "_anchor")
+    __slots__ = ("T", "m", "_t_inv", "_reference", "_anchor", "_identity")
 
     def __init__(self, T: Mat2, m: int = 0):
         object.__setattr__(self, "T", T)
@@ -103,6 +103,7 @@ class GLtildeElement(Frozen):
         object.__setattr__(self, "_t_inv", mat2_inv(T))
         object.__setattr__(self, "_reference", mat2_apply(self._t_inv, EC_I))
         object.__setattr__(self, "_anchor", phase_key_anchor(self._reference, m))
+        object.__setattr__(self, "_identity", m == 0 and T == MAT2_ID)
 
     @classmethod
     def identity(cls) -> "GLtildeElement":
@@ -116,10 +117,10 @@ class GLtildeElement(Frozen):
 
     @property
     def is_identity(self) -> bool:
-        return self.m == 0 and self.T == MAT2_ID
+        return self._identity
 
     def transform_charge(self, z: ExactComplex) -> ExactComplex:
-        return mat2_apply(self._t_inv, z)
+        return z if self._identity else mat2_apply(self._t_inv, z)
 
     def anchor_key(self) -> PhaseKey:
         return self._anchor
@@ -127,7 +128,7 @@ class GLtildeElement(Frozen):
     def relabel(self, p: PhaseKey) -> PhaseKey:
         """New phase of an object whose old phase is p, exactly; the
         identity returns p itself, so its exact scalar types are kept."""
-        return p if self.is_identity else self.anchored(p)
+        return p if self._identity else self.anchored(p)
 
     def anchored(self, p: PhaseKey) -> PhaseKey:
         """The new phase by the anchor arithmetic, for every element.
@@ -135,8 +136,11 @@ class GLtildeElement(Frozen):
         anchor + ccw displacement from T^{-1}(i) to T^{-1}(direction of p
         as a plane vector) + twice the window index of p.  Monotone in p
         and compatible with the shift by construction.  For the identity
-        the phase is p's, but a direction along i comes back as i itself.
+        that arithmetic returns p itself, except that a direction along i
+        comes back as i; the identity returns that result without it.
         """
+        if self._identity:
+            return PhaseKey(p.k, EC_I) if p.dir.re == 0 else p
         vec = p.dir if p.k % 2 == 0 else -p.dir
         disp = ccw_displacement(self._reference, mat2_apply(self._t_inv, vec))
         return self._anchor.plus(disp).shift(2 * p.window_index())
@@ -148,8 +152,11 @@ def mul_sequential(g1: GLtildeElement, g2: GLtildeElement) -> GLtildeElement:
 
     The matrix part is T1 * T2.  The product relabels the reference phase
     to g2's image of g1's anchor, and the anchors of one matrix differ by
-    2 per branch, so the branch is read off that one relabeling.
+    2 per branch, so the branch is read off that one relabeling.  A
+    product with the identity is the other factor.
     """
+    if g1._identity or g2._identity:
+        return g2 if g1._identity else g1
     T = mat2_mul(g1.T, g2.T)
     target = g2.anchored(g1.anchor_key())
     return GLtildeElement(T, (target.k - GLtildeElement(T, 0).anchor_key().k) // 2)
@@ -186,7 +193,9 @@ class StabilityConditionHandle(Frozen):
             raise FieldMismatchError(f"charge has length {charge.n}, quiver has {quiver.n} vertices")
 
     def charge2d(self) -> tuple[ExactComplex, ...]:
-        return tuple(self.g.transform_charge(z) for z in self.charge.values)
+        """T^{-1} of each vertex charge, by the matrix also for the identity:
+        ``glact`` prints these parts with the types the product gives them."""
+        return tuple(mat2_apply(self.g._t_inv, z) for z in self.charge.values)
 
     def charge_of(self, alpha: DimVector) -> ExactComplex:
         return self.g.transform_charge(self.charge.of(alpha))
@@ -226,9 +235,10 @@ def sin_pi_eps_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on sin(pi * eps) for eps in (0, 1/8).
 
     Taylor partial sums at rational brackets of pi*eps with an explicit
-    alternating-series remainder; the bracket width is far below 2**-30,
-    so accept/reject decisions never ride on float rounding.  Memoised
-    per eps (a refusal is raised on every call).
+    alternating-series remainder, rounded outward to multiples of
+    2**-100 so that the bounds stay small numbers; the bracket width is
+    far below 2**-30, so accept/reject decisions never ride on float
+    rounding.  Memoised per eps (a refusal is raised on every call).
     """
     if not (0 < eps < Fraction(1, 8)):
         raise StabkitError(f"epsilon must lie in (0, 1/8), got {eps}")
@@ -244,9 +254,10 @@ def sin_pi_eps_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
         rem = abs(term)
         return total - rem, total + rem
 
-    lo = sin_partial(_PI_LO * eps)[0]
+    lo = max(sin_partial(_PI_LO * eps)[0], Fraction(0))
     hi = sin_partial(_PI_HI * eps)[1]
-    return max(lo, Fraction(0)), hi
+    unit = 2 ** 100
+    return Fraction(math.floor(lo * unit), unit), Fraction(math.ceil(hi * unit), unit)
 
 
 class HypothesisRow(NamedTuple):
@@ -340,10 +351,10 @@ def stab_distance(s1: StabilityConditionHandle, s2: StabilityConditionHandle,
     stability conditions: phase drifts plus log mass ratios.
 
     Phases are read through :meth:`GLtildeElement.anchored` on every
-    handle, plain ones included.  On a plain handle that only rescales a
-    direction along i to i itself, which can move a drift's advisory
-    float in its last bits; the CLI's ``metric stab`` reports are pinned
-    to the anchored form.
+    handle.  On a plain handle that costs no plane arithmetic: the key
+    comes back as it is, except that a direction along i becomes i
+    itself, which can move a drift's advisory float in its last bits;
+    the CLI's ``metric stab`` reports are pinned to that form.
     """
     if not testset:
         raise ZeroObjectError("stability-space distance needs a nonempty testset")

@@ -14,7 +14,14 @@ from fractions import Fraction
 from itertools import product
 
 from stabkit.ellcurve import MAT_STD, NumericalCharge
-from stabkit.exactnum import ExactComplex, in_strict_upper_half
+from stabkit.exactnum import (
+    EC_I,
+    ExactComplex,
+    PhaseKey,
+    ccw_displacement,
+    in_strict_upper_half,
+    phase_key_anchor,
+)
 from stabkit.linalg import field_by_name
 from stabkit.quivrep import (
     Arrow,
@@ -28,7 +35,7 @@ from stabkit.quivrep import (
 )
 from stabkit.slicing import FormalComplex, hn_decompose
 from stabkit.stability import CentralCharge
-from stabkit.stabspace import mat2_inv, mat2_mul
+from stabkit.stabspace import mat2_apply, mat2_inv, mat2_mul
 
 A2 = Quiver(2, (Arrow("a", 1, 2),))
 A3 = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
@@ -72,6 +79,18 @@ def semistable_phase(S, fc: FormalComplex):
     """The phase of fc in the handle S when fc is semistable there, else None."""
     factors = hn_decompose(fc, S)
     return factors[0].key if len(factors) == 1 else None
+
+
+def anchored_by_arithmetic(g, p: PhaseKey) -> PhaseKey:
+    """The new phase of p under g by the anchor arithmetic, written out
+    for every element, the identity included: the ccw displacement from
+    T^{-1}(i) to T^{-1} of p's plane vector, added onto the anchor, then
+    shifted by twice the window index of p."""
+    t_inv = mat2_inv(g.T)
+    reference = mat2_apply(t_inv, EC_I)
+    vec = p.dir if p.k % 2 == 0 else -p.dir
+    disp = ccw_displacement(reference, mat2_apply(t_inv, vec))
+    return phase_key_anchor(reference, g.m).plus(disp).shift(2 * p.window_index())
 
 
 def charge_of_element(g) -> NumericalCharge:

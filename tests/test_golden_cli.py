@@ -27,6 +27,7 @@ CASES = {
     "a2-decompose": (A2, ["decompose", "PS", "Zstd"]),
     "a2-walls": (A2, ["walls", "path1"]),
     "a2-deform": (A2, ["deform", "Zstd", "Zpert", "--eps", "1/10", "--testset", "basic"]),
+    "a2-deform-ninth": (A2, ["deform", "Zstd", "Zpert", "--eps", "1/9", "--testset", "basic"]),
     "a2-metric-slicing": (A2, ["metric", "slicing", "Zstd", "Zflip", "--testset", "basic"]),
     "a2-metric-stab": (A2, ["metric", "stab", "Zstd", "Zflip", "--testset", "basic"]),
     "a2-glact": (A2, ["glact", "Zstd", "--matrix", "2,0,0,2", "--testset", "basic"]),
@@ -39,11 +40,13 @@ CASES = {
     "a3q-decompose-PS": (A3Q, ["decompose", "PS", "Zq"]),
     "a3q-decompose-Rup": (A3Q, ["decompose", "Rup", "Zr"]),
     "a3q-glact": (A3Q, ["glact", "Zq", "--matrix", "2,1,0,1", "--testset", "wide"]),
+    "a3q-glact-identity": (A3Q, ["glact", "Zq", "--matrix", "1,0,0,1", "--testset", "basic"]),
     "a3q-glact-shift": (A3Q, ["glact", "Zr", "--matrix=-1,0,0,-1", "--branch", "1", "--testset", "basic"]),
     "a3q-metric-slicing": (A3Q, ["metric", "slicing", "Zq", "Zr", "--testset", "wide"]),
     "a3q-metric-stab": (A3Q, ["metric", "stab", "Zq", "Zr", "--testset", "wide"]),
     "a3q-validate": (A3Q, ["validate", "Zq", "--testset", "all"]),
     "a3q-deform": (A3Q, ["deform", "Zq", "Zp", "--eps", "1/10", "--testset", "wide"]),
+    "a3q-deform-ninth": (A3Q, ["deform", "Zq", "Zp", "--eps", "1/9", "--testset", "wide"]),
     "a3q-walls": (A3Q, ["walls", "tour"]),
 }
 FORMATS = ("json", "csv")

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from stabkit.errors import (
+    FieldMismatchError,
     InvariantViolation,
     StabilityFunctionError,
     UnsupportedScalarError,
@@ -73,7 +74,7 @@ def test_phase_memo_is_held_by_the_charge():
     for _ in range(3):  # a vanishing class raises on every call and is never stored
         with pytest.raises(ZeroClassError, match="vanishes"):
             phase((1, -1), zi)
-        with pytest.raises(ZeroClassError, match="length"):
+        with pytest.raises(FieldMismatchError, match="length"):
             phase((1, 1, 1), zi)
     assert (1, -1) not in zi._phases and phase((1, 0), zi).k == 0
 
@@ -214,6 +215,15 @@ def test_library_refusals_by_class_and_message():
         CentralCharge((ExactComplex(r2, Fraction(1)), ExactComplex(Fraction(0), r3)))
     with pytest.raises(ZeroObjectError, match="^semistability is undefined for the zero representation$"):
         is_semistable(zero_rep(A2, F2), charge((-1, 1), (1, 1)))
+
+
+def test_charge_of_the_wrong_length_is_a_field_mismatch():
+    # the module-level API refuses as a handle does, not as a vanishing charge
+    r = rep(A2, F2, (1, 1), {"a": [[1]]})
+    for Z, n in ((charge((-1, 1), (1, 1), (0, 1)), 3), (charge((0, 1),), 1)):
+        for decide in (is_semistable, hn_filtration_max_sub):
+            with pytest.raises(FieldMismatchError, match=rf"^class has length 2, charge expects {n}$"):
+                decide(r, Z)
 
 
 def test_rational_route_refusal():

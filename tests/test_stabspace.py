@@ -21,6 +21,7 @@ from stabkit.exactnum import (
     PhaseKey,
     QuadScalar,
     normalize_direction,
+    phase_diff_float,
     phase_key_anchor,
     root_bounds,
 )
@@ -48,7 +49,20 @@ from stabkit.stabspace import (
     validate_axioms,
 )
 
-from support import A2, F2, F3, charge, ec, heart_charge, labelled, random_charge, semistable_phase
+from stabkit import stabspace
+
+from support import (
+    A2,
+    F2,
+    F3,
+    anchored_by_arithmetic,
+    charge,
+    ec,
+    heart_charge,
+    labelled,
+    random_charge,
+    semistable_phase,
+)
 
 
 def fc0(r):
@@ -173,9 +187,59 @@ def test_product_relabels_sequentially_on_axis_aligned_elements():
     assert checked == 29160
 
 
-def test_anchored_inverts_the_matrix_once(monkeypatch):
-    from stabkit import stabspace
+def random_direction(rng, d):
+    """A nonzero plane vector with rational parts, or (d = 2, 5) parts in Q(sqrt d)."""
 
+    def part():
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        if d is None or rng.random() < 0.3:
+            return a
+        return QuadScalar(a, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)), d)
+
+    while True:
+        z = ExactComplex(part(), part())
+        if not z.is_zero:
+            return z
+
+
+def product_by_arithmetic(g1, g2):
+    """(T, m) of mul_sequential(g1, g2) by the general rule, with no identity shortcut."""
+    T = stabspace.mat2_mul(g1.T, g2.T)
+    base = phase_key_anchor(stabspace.mat2_apply(mat2_inv(T), EC_I), 0)
+    return T, (anchored_by_arithmetic(g2, g1.anchor_key()).k - base.k) // 2
+
+
+def test_identity_shortcuts_agree_with_the_anchor_arithmetic():
+    rng = random.Random(2701)
+    ident = GLtildeElement.identity()
+    # along i, and along the negative and positive real axes, in each field
+    special = {None: [EC_I, ec(0, 3), ec(-2, 0), ec(1, 0)],
+               2: [ExactComplex(QuadScalar(Fraction(0), Fraction(-1), 2), Fraction(0))],
+               5: [ExactComplex(Fraction(0), QuadScalar(Fraction(1), Fraction(1), 5))]}
+    dirs = {d: special[d] + [random_direction(rng, d) for _ in range(80)] for d in special}
+    keys = {d: [normalize_direction(z).shift(k) for z in zs for k in range(-4, 5)] for d, zs in dirs.items()}
+    for d, p in ((d, p) for d in keys for p in keys[d]):
+        got, want = ident.anchored(p), anchored_by_arithmetic(ident, p)
+        assert got.k == want.k and got.dir.re == want.dir.re and got.dir.im == want.dir.im, p
+        assert repr(got) == repr(want)
+        q = rng.choice(keys[rng.choice((None, d))])  # a second key in p's field
+        assert phase_diff_float(got, q).hex() == phase_diff_float(want, q).hex()
+        assert phase_diff_float(q, got).hex() == phase_diff_float(q, want).hex()
+    along_i = [p for d in keys for p in keys[d] if p.dir.re == 0]
+    assert sum(map(len, keys.values())) == 2214 and len(along_i) == 99
+    assert all(ident.anchored(p).dir is EC_I for p in along_i)
+    elements = [ident, GLtildeElement.shift(), GLtildeElement(mat2(2, 0, 0, 2), -1)]
+    elements += [random_element(rng) for _ in range(300)]
+    for g in elements:
+        for product in (mul_sequential(ident, g), mul_sequential(g, ident)):
+            assert (product.T, product.m) == (g.T, g.m)
+        assert product_by_arithmetic(ident, g) == product_by_arithmetic(g, ident) == (g.T, g.m)
+    for z in dirs[None][:50] + dirs[2][:50] + dirs[5][:50]:
+        assert ident.transform_charge(z) is z
+        assert z == stabspace.mat2_apply(stabspace.MAT2_ID, z)
+
+
+def test_anchored_inverts_the_matrix_once(monkeypatch):
     real, calls = stabspace.mat2_inv, []
 
     def counting(T):
@@ -260,6 +324,24 @@ def test_sin_bounds_sane():
         sin_pi_eps_bounds(Fraction(1, 8))
     with pytest.raises(StabkitError):
         sin_pi_eps_bounds(Fraction(0))
+
+
+def test_sin_bounds_round_the_taylor_enclosure_outward_to_dyadics():
+    from stabkit.stabspace import _PI_HI, _PI_LO
+
+    def taylor(x):  # twelve terms of the sine series and the alternating remainder
+        total, term = Fraction(0), x
+        for k in range(1, 25, 2):
+            total += term
+            term = -term * x * x / ((k + 1) * (k + 2))
+        return total - abs(term), total + abs(term)
+
+    unit = 2 ** 100
+    for eps in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 9), Fraction(7, 64), Fraction(1, 1000)):
+        lo, hi = sin_pi_eps_bounds(eps)
+        assert lo <= max(taylor(_PI_LO * eps)[0], Fraction(0)) and taylor(_PI_HI * eps)[1] <= hi
+        assert unit % lo.denominator == 0 and unit % hi.denominator == 0
+        assert hi - lo < Fraction(1, 2 ** 98)
 
 
 def test_sin_bounds_are_memoised_per_eps():
@@ -354,8 +436,6 @@ def test_deform_reuses_the_memo_of_the_charge_it_is_given(a2_reps, monkeypatch):
 
 
 def test_deform_refuses_a_margin_inside_the_rounding_band(a2_reps, z_std, monkeypatch):
-    from stabkit import stabspace
-
     testset = labelled(a2_reps, ("S1", "S2", "P"))
     w = charge((-1, 1), (1, Fraction(11, 10)))
     # a bracket [0, 1] on sin(pi*eps) puts every |W - Z| < |Z| inside the band
@@ -367,8 +447,6 @@ def test_deform_refuses_a_margin_inside_the_rounding_band(a2_reps, z_std, monkey
 
 def test_deform_conclusion_gate_exits_3_on_a_wrong_tau(a2_reps, z_std, z_flip, monkeypatch):
     # planted defect: the deformed handle is built over a charge other than the checked W
-    from stabkit import stabspace
-
     real = stabspace.StabilityConditionHandle
     sigma = handle(z_std)
     testset = labelled(a2_reps, ("S1", "S2", "P"))
@@ -695,8 +773,11 @@ def test_identity_relabel_keeps_exact_scalar_types():
     # a direction with a rational real part and an irrational imaginary part
     p = PhaseKey(0, ExactComplex(Fraction(1), QuadScalar(Fraction(0), Fraction(1), 2)))
     assert GLtildeElement.identity().relabel(p) is p
-    moved = GLtildeElement.identity().anchored(p)
-    assert moved == p and isinstance(moved.dir.re, QuadScalar)
+    assert GLtildeElement.identity().anchored(p) is p
+    # a direction along i comes back as i itself, as the anchor arithmetic gives it
+    up = PhaseKey(2, ExactComplex(Fraction(0), QuadScalar(Fraction(0), Fraction(3), 2)))
+    moved = GLtildeElement.identity().anchored(up)
+    assert moved.k == 2 and moved.dir is EC_I
 
 
 def test_decompose_relabels_through_the_handle(a2_reps, z_flip):
