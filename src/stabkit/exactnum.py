@@ -247,7 +247,7 @@ def sqrt_bounds(value: Scalar | int, bits: int = 70) -> tuple[Fraction, Fraction
     """A rational enclosure of sqrt(value) with width about 2**-bits.
 
     Used wherever a transcendental-free bound on a square root is needed
-    (mass error bounds, wall-root bracketing).  ``value`` must be >= 0.
+    (masses, wall-root bracketing).  ``value`` must be >= 0.
     """
     if sign_of(value) < 0:
         raise ValueError("sqrt of negative value")

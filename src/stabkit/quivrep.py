@@ -330,11 +330,10 @@ class SubmoduleLattice(Frozen):
     A member is stored as its position in the product of the per-vertex
     ``linalg.subspaces`` tables, vertex 1 slowest: ``_radix`` holds
     ``(table, stride, size)`` per vertex, and the member's subspace at
-    vertex v is ``table.rows[position // stride % size]``.  A table builds
-    its rows on first read: the enumeration reads them only at the vertices
-    before the last one of positive dimension, and :meth:`walk` and
-    :meth:`member` where they read a member, so a verdict read off the
-    classes alone builds no more.  The positions are a
+    vertex v is ``table.row(position // stride % size)``, decoded from
+    that index where it is read: by the enumeration at the vertices before
+    the last one of positive dimension, and by :meth:`walk` and
+    :meth:`member` where they read a member.  The positions are a
     ``range`` when no arrow constrains anything, else an array of 4-byte
     ints.  Consecutive members with one pivots tuple form a run; ``_runs``
     holds its ``(pivots, dims, total_dim)`` and ``_starts`` the index of its
@@ -365,7 +364,7 @@ class SubmoduleLattice(Frozen):
 
     def _rows(self, index: int) -> tuple:
         k = self._positions[index]
-        return tuple([table.rows[k // s % m] for table, s, m in self._radix])
+        return tuple([table.row(k // s % m) for table, s, m in self._radix])
 
     def member(self, index: int) -> Submodule:
         """The member at index, built on its own."""
@@ -380,9 +379,10 @@ class SubmoduleLattice(Frozen):
         nothing, and indices are those members' ascending indices.  A run
         whose dims rule it out is skipped whole, and one whose dims settle
         containment at every vertex is taken whole, as a range; otherwise
-        containment is decided once per vertex and candidate index, on the
-        side(s) its dims leave open there, and indices lists the members
-        that pass."""
+        a run whose pivots rule it out at a vertex left open is skipped
+        whole too, and containment is decided once per vertex and
+        candidate index, on the side(s) its dims leave open there, and
+        indices lists the members that pass."""
         F, full, out = self.rep.field, self.rep.dims, []
         positions, radix = self._positions, self._radix
         low, low_total = ((0,) * len(full), -1) if lower is None else (lower.dims, lower.total_dim)
@@ -403,12 +403,16 @@ class SubmoduleLattice(Frozen):
             if not open_:
                 out.append((dims, total_dim, range(start, end)))
                 continue
+            # a subspace's echelon pivots hold those of every subspace in it
+            if any(lo and not set(lower.pivots[v]) <= set(pivots[v])
+                   or hi and not set(pivots[v]) <= set(upper.pivots[v]) for v, lo, hi in open_):
+                continue
             hits = []
             for i in range(start, end):
                 for v, low_open, high_open in open_:
                     table, s, m = radix[v]
                     if (hit := known[v].get(c := positions[i] // s % m)) is None:
-                        rows = table.rows[c]
+                        rows = table.row(c)
                         hit = known[v][c] = (
                             (not low_open or _maps_into(F, lower.rows[v], rows, pivots[v]))
                             and (not high_open or _maps_into(F, rows, upper.rows[v], upper.pivots[v])))
@@ -433,9 +437,11 @@ def _enumerate(rep: QuiverRep):
     # at their targets: linalg.subspace_interval solves that interval per
     # pivot set and caches it, and it is read once per choice at the
     # vertices v's arrows tie it to.  A vertex tied to none, or whose
-    # interval is the whole space, takes its whole table.  Images of rows
-    # are taken once per lattice.  The last vertex of positive dimension,
-    # w, adds one block per choice at the earlier ones.
+    # interval is the whole space, takes its whole table.  The rows of the
+    # tied choices are decoded from their indices (table.row) on a memo
+    # miss only, and images of rows are taken once per lattice.  The last
+    # vertex of positive dimension, w, adds one block per choice at the
+    # earlier ones.
     F, n, dims = rep.field, rep.quiver.n, rep.dims
     tables = tuple(linalg.subspaces(F.p, d) for d in dims)
     strides = tuple(math.prod(map(len, tables[v + 1:])) for v in range(n))
@@ -447,7 +453,7 @@ def _enumerate(rep: QuiverRep):
     tail = ((),) * (n - 1 - w)  # pivots of the later vertices
     positions = array("I") if arrows else None
     starts, runs, first, memo, images = [], [], {}, {}, {}
-    chosen, chosen_rows, chosen_pivots = [None] * n, [None] * n, [None] * n
+    chosen, chosen_pivots = [None] * n, [None] * n
 
     def image(M, u):
         if (im := images.get((id(M), u))) is None:
@@ -459,6 +465,7 @@ def _enumerate(rep: QuiverRep):
             return tables[v].pivot_sets
         key = (v, *(chosen[u] for u in ties[v]))
         if (segments := memo.get(key)) is None:
+            chosen_rows = {u: tables[u].row(chosen[u]) for u in ties[v]}
             lower = linalg.rref(F, [image(M, u) for M, s in into[v] for u in chosen_rows[s]])[0]
             upper = tables[v].whole  # unless an arrow goes back from v
             if back[v]:  # x is in K when M x satisfies the equations of the subspace chosen at each target
@@ -488,7 +495,7 @@ def _enumerate(rep: QuiverRep):
         for pivots, seq in candidates(v):
             chosen_pivots[v] = pivots
             for c in seq:
-                chosen[v], chosen_rows[v] = c, tables[v].rows[c]
+                chosen[v] = c
                 count = descend(v + 1, base + c * strides[v], count)
         return count
 

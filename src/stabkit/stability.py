@@ -294,30 +294,19 @@ def hn_filtration_mdq(rep: QuiverRep, Z: CentralCharge, cap: int = quivrep.DEFAU
     return filt
 
 
-class MassEstimate(NamedTuple):
-    value: float
-    error_bound: float
-    exact: Fraction  # the exact sum of enclosure midpoints that value rounds
-
-
-def mass(values: list[ExactComplex]) -> MassEstimate:
-    """Sum of |z| over the charges of the decomposition factors, as a
-    float with a bound.
+def mass(values: list[ExactComplex]) -> Fraction:
+    """Sum of |z| over the charges of the decomposition factors, as the
+    exact sum of enclosure midpoints.
 
     Each |z| is bracketed by integer-square-root enclosures of the exact
-    squared modulus (width < 2**-69), the enclosure midpoints are summed
-    exactly, and only the final sum is rounded to a float; the reported
-    bound covers both stages and stays below 2**-40 at desk scale.
+    squared modulus (width < 2**-69) and the midpoints are summed exactly,
+    so the sum is within 2**-70 of the mass per charge.
     """
     total = Fraction(0)
-    slack = Fraction(0)
     for z in values:
         lo, hi = sqrt_bounds(z.abs_squared(), 70)
         total += (lo + hi) / 2
-        slack += (hi - lo) / 2
-    value = float(total)
-    bound = float(slack) + abs(value) * 2.0 ** -52 + 2.0 ** -60
-    return MassEstimate(value, bound, total)
+    return total
 
 
 class DiscretenessReport(NamedTuple):

@@ -243,6 +243,23 @@ def test_semistable_verdict_builds_no_subspace_rows():
     assert peak < 2 * 10**6
 
 
+def test_filtrations_decode_the_members_they_read():
+    # both routes read members of the same lattice (the whole rep, the zero one): each member's
+    # rows are decoded from its index, so no vertex builds the rows of all of F7^5's subspaces
+    r = rep(A2, linalg.field_by_name("F7"), (0, 5))
+    Z = charge((1, 2), (3, 6))
+    linalg.subspaces.cache_clear()
+    quivrep._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        chains = [[s.dims for s in route(r, Z).chain] for route in (hn_filtration_max_sub, hn_filtration_mdq)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chains == [[(0, 0), (0, 5)]] * 2
+    assert peak < 2 * 10**6
+
+
 def test_budget_is_checked_on_memo_hits(monkeypatch):
     r = rep(A2, F2, (2, 2), {"a": [[1, 0], [0, 1]]})
     lattice = enumerate_submodules(r)

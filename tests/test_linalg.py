@@ -25,7 +25,7 @@ def nested_loop_subspaces(p: int, dim: int):
                 for c in range(dim)
                 if c > pivots[i] and c not in pivots
             ]
-            for values in itertools.product(F.elements(), repeat=len(free_slots)):
+            for values in itertools.product(range(F.p), repeat=len(free_slots)):
                 rows = [[F.zero] * dim for _ in range(r)]
                 for i in range(r):
                     rows[i][pivots[i]] = F.one
@@ -38,7 +38,7 @@ def nested_loop_subspaces(p: int, dim: int):
 def table_pairs(table: linalg.SubspaceTable) -> tuple:
     """The table read as one (rows, pivots) pair per subspace."""
     assert [i for _, indices in table.pivot_sets for i in indices] == list(range(len(table)))
-    return tuple((table.rows[i], pivots) for pivots, indices in table.pivot_sets for i in indices)
+    return tuple((table.row(i), pivots) for pivots, indices in table.pivot_sets for i in indices)
 
 
 @pytest.mark.parametrize("p, max_dim", [(2, 6), (3, 5), (5, 4), (7, 3)])
@@ -88,31 +88,35 @@ def test_reduce_vector_matches_the_list_formula(name):
 
 def test_subspace_table_holds_no_per_subspace_pair():
     table = linalg.subspaces(5, 5)
-    assert type(table) is linalg.SubspaceTable and len(table) == len(table.rows) == 42176
-    # every entry is the rows tuple itself: no (rows, pivots) pair, no pivots copy
-    assert all(type(rows) is tuple and all(len(row) == 5 for row in rows) for rows in table.rows)
+    assert type(table) is linalg.SubspaceTable and len(table) == 42176
+    # every subspace reads as the rows tuple itself: no (rows, pivots) pair, no pivots copy
+    assert all(type(rows) is tuple and all(len(row) == 5 for row in rows) for rows in map(table.row, range(len(table))))
     assert [pivots for pivots, _ in table.pivot_sets] == [
         pivots for r in range(6) for pivots in itertools.combinations(range(5), r)]
 
 
-def test_subspace_table_builds_its_rows_on_first_read():
-    slot = linalg.SubspaceTable.rows.__get__  # reads the slot without the first-read build
-    for p, dim in ((2, 0), (3, 4), (7, 5)):
+def test_subspace_table_is_counted_and_held_by_p_and_dim():
+    for p, dim in ((2, 0), (3, 4), (7, 5)):  # F7^5 has 285,704 subspaces, counted and not built
         table = linalg.SubspaceTable(p, dim)
         assert len(table) == table.pivot_sets[-1][1].stop == sum(gaussian_binomial(dim, k, p) for k in range(dim + 1))
         assert table.whole == linalg.identity_matrix(PrimeField(p), dim)
-        with pytest.raises(AttributeError):
-            slot(table)
-        if p < 7:  # F7^5 has 285,704 subspaces, counted above and not built
-            assert table.rows is slot(table) and len(table.rows) == len(table) and table.rows[-1] == table.whole
-        # equality, hash, repr and pickling go by (p, dim), built rows or not
+        # equality, hash, repr and pickling go by (p, dim)
         fresh = pickle.loads(pickle.dumps(table))
         assert fresh == table and hash(fresh) == hash(table) and repr(fresh) == f"SubspaceTable(p={p}, dim={dim})"
-        with pytest.raises(AttributeError):
-            slot(fresh)
     assert linalg.SubspaceTable(2, 3) != linalg.SubspaceTable(3, 2)
-    with pytest.raises(AttributeError, match="has no attribute 'row'"):
-        linalg.SubspaceTable(2, 2).row
+    with pytest.raises(AttributeError, match="has no attribute 'rows'"):
+        linalg.SubspaceTable(2, 2).rows
+
+
+def test_subspace_row_index_rule():
+    # row(i) takes member's index rule: a negative index counts from the end, one out of range raises
+    for p, dim in ((2, 0), (2, 3), (7, 3)):
+        table = linalg.subspaces(p, dim)
+        n = len(table)
+        assert table.row(-1) == table.row(n - 1) == table.whole and table.row(-n) == table.row(0) == ()
+        for i in (n, n + 5, -n - 1):
+            with pytest.raises(IndexError):
+                table.row(i)
 
 
 def filtered_interval(p: int, dim: int, lower, upper) -> list:
@@ -122,8 +126,8 @@ def filtered_interval(p: int, dim: int, lower, upper) -> list:
     tops = tuple(row.index(1) for row in upper)
     out = []
     for pivots, indices in table.pivot_sets:
-        keep = [i for i in indices if all(linalg.in_span(F, u, table.rows[i], pivots) for u in lower)
-                and all(linalg.in_span(F, row, upper, tops) for row in table.rows[i])]
+        keep = [i for i in indices if all(linalg.in_span(F, u, table.row(i), pivots) for u in lower)
+                and all(linalg.in_span(F, row, upper, tops) for row in table.row(i))]
         if keep:
             out.append((pivots, keep))
     return out
@@ -131,7 +135,8 @@ def filtered_interval(p: int, dim: int, lower, upper) -> list:
 
 def interval_pairs(p: int, dim: int, rng=None, count=None):
     """Every pair lower <= upper of subspaces of F_p^dim, or count seeded ones."""
-    F, rows = PrimeField(p), linalg.subspaces(p, dim).rows
+    F, table = PrimeField(p), linalg.subspaces(p, dim)
+    rows = [table.row(i) for i in range(len(table))]
     if rng is None:
         return [(lower, upper) for upper in rows for lower in rows
                 if all(linalg.in_span(F, u, upper, tuple(r.index(1) for r in upper)) for u in lower)]
@@ -158,7 +163,7 @@ def test_subspace_interval_of_the_whole_space_is_the_table():
     for p, dim in ((2, 0), (2, 3), (7, 3)):
         table = linalg.subspaces(p, dim)
         before = linalg._interval.cache_info()
-        assert linalg.subspace_interval(p, dim, (), table.rows[-1]) is table.pivot_sets
+        assert linalg.subspace_interval(p, dim, (), table.row(-1)) is table.pivot_sets
         assert linalg._interval.cache_info() == before
 
 

@@ -278,7 +278,8 @@ def test_member_loop_against_span_closure(quiver, dims, field):
     # dimension-0 endpoint constrain nothing; (2, 3) is the one shape that
     # has more than 60 members, where the walk between two bounds is sampled
     rng = random.Random(f"{dims}/{field}")
-    index = [{rows: i for i, rows in enumerate(linalg.subspaces(field.p, d).rows)} for d in dims]
+    tables = [linalg.subspaces(field.p, d) for d in dims]
+    index = [{table.row(i): i for i in range(len(table))} for table in tables]
     for trial in range(5):
         maps = {a.name: [[rng.randrange(field.p) if trial else 0 for _ in range(dims[a.src - 1])]
                          for _ in range(dims[a.tgt - 1])] for a in quiver.arrows}
